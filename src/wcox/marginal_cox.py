@@ -27,7 +27,6 @@ from .propensity import (
     compute_weights,
     fit_multinomial_logit,
     multinomial_information,
-    multinomial_probs,
     trim as trim_cohort,
 )
 
@@ -228,6 +227,8 @@ class StackedPieces:
                      removed), the meat contribution of the tau block
     pi    : (n, J(p+1)) propensity score residuals (D - e) x design
     a_tt, a_tg, a_gg : bread blocks, -1/n d(sum phi)/d(theta); a_gt = 0
+
+    Without a propensity model the gamma blocks have zero width.
     """
 
     psi: np.ndarray
@@ -288,21 +289,39 @@ def _corrected_residuals(cohort: Cohort, weights: WeightSet, tau) -> tuple[np.nd
     return psi, psi - corr
 
 
+def _log_weight_gradient(psfit: PropensityFit, weights: WeightSet, treatment) -> np.ndarray:
+    """d log w_i / d gamma, shape (n, J(p+1)) in gamma.ravel() order.
+
+    With d log e_k / d gamma_a = (1{k=a} - e_a) x, every scheme's
+    derivative is c_{i,a} x_i: c = e_a - 1{Z=a} for IPW, plus
+    1{target=a} - e_a for ATT and tilt/e_a - e_a for OW; 0 for UNIT.
+    """
+    e = psfit.probs[:, 1:]
+    j = e.shape[1]
+    coef = e - _indicator_design(treatment, j)
+    if weights.scheme == "att":
+        coef += (np.arange(1, j + 1) == weights.att_target) - e
+    elif weights.scheme == "ow":
+        coef += weights.tilt[:, None] / e - e
+    elif weights.scheme == "unit":
+        coef[:] = 0.0
+    return (coef[:, :, None] * psfit.design[:, None, :]).reshape(e.shape[0], -1)
+
+
 def stacked_pieces(
     cohort: Cohort,
-    psfit: PropensityFit,
+    psfit: PropensityFit | None,
     weights: WeightSet,
     tau,
-    *,
-    fd_step=1e-6,
 ) -> StackedPieces:
     """Assemble the stacked estimating-equation pieces at (tau, gamma).
 
-    a_tt and a_gg are analytic (weighted partial-likelihood information
-    and multinomial Fisher information, each divided by n); a_tg is the
-    central finite difference of the aggregate tau-score with respect to
-    gamma, with the weights rebuilt from the perturbed propensities, step
-    fd_step * max(1, |gamma_m|) per component.  a_gt is exactly zero.
+    All blocks are analytic.  a_tt and a_gg are the weighted
+    partial-likelihood information and the multinomial Fisher information,
+    each divided by n.  a_tg = -(1/n) psi_c' (d log w / d gamma), because
+    the tau-score moves with each weight as dU/dw_l = psi_c_l / w_l.
+    a_gt is exactly zero.  With psfit=None the weights are treated as
+    known and the gamma blocks are empty.
     """
     _check_alignment(cohort, weights)
     tau = np.asarray(tau, dtype=np.float64)
@@ -310,35 +329,22 @@ def stacked_pieces(
     j = cohort.n_treatments
 
     psi, psi_c = _corrected_residuals(cohort, weights, tau)
-    sr = evaluate_score(cohort, weights, tau)
-    a_tt = sr.info / n
+    a_tt = evaluate_score(cohort, weights, tau).info / n
 
+    if psfit is None:
+        return StackedPieces(
+            psi=psi,
+            psi_c=psi_c,
+            pi=np.zeros((n, 0)),
+            a_tt=a_tt,
+            a_tg=np.zeros((j, 0)),
+            a_gg=np.zeros((0, 0)),
+        )
     onehot = _indicator_design(cohort.treatment, psfit.n_treatments)
     resid = onehot - psfit.probs[:, 1:]
     pi = (resid[:, :, None] * psfit.design[:, None, :]).reshape(n, -1)
     a_gg = multinomial_information(psfit.probs, psfit.design) / n
-
-    if weights.scheme == "unit":
-        a_tg = np.zeros((j, pi.shape[1]))
-    else:
-        gamma = psfit.gamma
-        flat = gamma.ravel()
-        a_tg = np.empty((j, flat.size))
-        for m in range(flat.size):
-            h = fd_step * max(1.0, abs(flat[m]))
-            plus = flat.copy()
-            plus[m] += h
-            minus = flat.copy()
-            minus[m] -= h
-            scores = []
-            for g in (plus, minus):
-                probs_g = multinomial_probs(g.reshape(gamma.shape), cohort.covariates)
-                w_g = compute_weights(
-                    probs_g, cohort.treatment, weights.scheme, weights.att_target
-                )
-                scores.append(evaluate_score(cohort, w_g, tau).score)
-            a_tg[:, m] = -(scores[0] - scores[1]) / (2.0 * h * n)
-
+    a_tg = -(psi_c.T @ _log_weight_gradient(psfit, weights, cohort.treatment)) / n
     return StackedPieces(psi=psi, psi_c=psi_c, pi=pi, a_tt=a_tt, a_tg=a_tg, a_gg=a_gg)
 
 
@@ -363,6 +369,14 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _sandwich(bread: np.ndarray, meat: np.ndarray, n: int) -> np.ndarray:
+    try:
+        a_inv = np.linalg.inv(bread)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("singular bread matrix in the sandwich") from None
+    return _symmetrize(a_inv @ meat @ a_inv.T / n)
+
+
 def sandwich_covariance(
     cohort: Cohort,
     psfit: PropensityFit | None,
@@ -376,12 +390,10 @@ def sandwich_covariance(
     """
     tau = np.asarray(tau, dtype=np.float64)
     n = cohort.n
+    j = tau.shape[0]
+    pieces = stacked_pieces(cohort, psfit, weights, tau)
+    cov_fixed = _sandwich(pieces.a_tt, pieces.psi_c.T @ pieces.psi_c / n, n)
     if psfit is None:
-        psi, psi_c = _corrected_residuals(cohort, weights, tau)
-        a_tt = evaluate_score(cohort, weights, tau).info / n
-        meat_tt = psi_c.T @ psi_c / n
-        a_inv = np.linalg.inv(a_tt)
-        cov_fixed = _symmetrize(a_inv @ meat_tt @ a_inv.T / n)
         return SandwichResult(
             cov_tau=cov_fixed,
             cov_tau_fixed=cov_fixed,
@@ -390,18 +402,9 @@ def sandwich_covariance(
             meat=None,
             pieces=None,
         )
-    pieces = stacked_pieces(cohort, psfit, weights, tau)
     bread = pieces.bread()
     meat = pieces.meat()
-    j = tau.shape[0]
-    try:
-        a_inv = np.linalg.inv(bread)
-    except np.linalg.LinAlgError:
-        raise ConvergenceError("singular bread matrix in the sandwich") from None
-    cov_joint = _symmetrize(a_inv @ meat @ a_inv.T / n)
-    att_inv = np.linalg.inv(pieces.a_tt)
-    meat_tt = pieces.psi_c.T @ pieces.psi_c / n
-    cov_fixed = _symmetrize(att_inv @ meat_tt @ att_inv.T / n)
+    cov_joint = _sandwich(bread, meat, n)
     return SandwichResult(
         cov_tau=cov_joint[:j, :j],
         cov_tau_fixed=cov_fixed,
@@ -435,8 +438,10 @@ def bootstrap_covariance(
     """Resample units with replacement; refit propensities and tau each time.
 
     Replicates where a treatment group disappears, a group loses all its
-    events, or either fit fails are dropped and counted; more than
-    `max_drop_fraction` dropped raises StudyError ("bootstrap unstable").
+    events, or either fit fails are dropped and counted by the stage that
+    stopped them: "missing_group", "propensity" (the propensity fit and the
+    weights) or "cox" (the tau fit).  More than `max_drop_fraction` dropped
+    raises StudyError ("bootstrap unstable").
     The covariance is the empirical covariance (ddof=1) of the retained
     tau draws.  Fully deterministic given (cohort, scheme, n_boot, seed).
     """
@@ -465,10 +470,13 @@ def bootstrap_covariance(
             else:
                 ps = fit_multinomial_logit(sub)
                 w = compute_weights(ps, sub.treatment, scheme, att_target)
+        except (ConvergenceError, ValidationError):
+            reasons["propensity"] = reasons.get("propensity", 0) + 1
+            continue
+        try:
             est = fit_mhr(sub, w)
-        except (ConvergenceError, ValidationError) as exc:
-            key = "propensity" if "propensity" in str(exc) else "cox"
-            reasons[key] = reasons.get(key, 0) + 1
+        except (ConvergenceError, ValidationError):
+            reasons["cox"] = reasons.get("cox", 0) + 1
             continue
         draws.append(est.tau)
     n_dropped = n_boot - len(draws)

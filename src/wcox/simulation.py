@@ -607,7 +607,8 @@ def _replicate_worker(args):
 
 
 def _worker_count() -> int:
-    """Worker cap: WCOX_THREADS when set, else the available parallelism."""
+    """Worker cap: WCOX_THREADS when set, else the CPUs this process may
+    run on (its affinity set, which also reflects cpuset limits)."""
     env = os.environ.get("WCOX_THREADS", "").strip()
     if env:
         try:
@@ -619,7 +620,10 @@ def _worker_count() -> int:
         if cap < 1:
             raise ValidationError("WCOX_THREADS must be at least 1")
         return cap
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_study(

@@ -6,9 +6,13 @@ The weighted product-limit estimator within group j is
 
 where D_l sums w_i over events of group j at the distinct event time t_l
 and R_l sums w_i over group-j units still at risk (Y_i >= t_l).  Event
-and at-risk totals are differences of a single prefix sum accumulated in
-ascending-time order (ties in input order); this order is part of the
-contract so independent recomputations can match bit for bit.
+and at-risk totals are differences of prefix sums accumulated in
+ascending-time order (ties in input order).  Each factor 1 - D_l / R_l is
+computed as (R_l - D_l) / R_l, with the surviving weight R_l - D_l summed
+directly (later units plus the block's censored units) rather than
+subtracted, so a curve ending in an all-event block reaches exactly 0.
+This order is part of the contract so independent recomputations can
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -74,12 +78,14 @@ def weighted_km(cohort: Cohort, weights: WeightSet, group: int) -> KmCurve:
     # large a tie block gets
     cw = np.concatenate([[0.0], np.cumsum(w_s)])
     cwd = np.concatenate([[0.0], np.cumsum(w_s * d_s)])
+    cwc = np.concatenate([[0.0], np.cumsum(w_s * (1.0 - d_s))])
     seg_wd = cwd[seg_end] - cwd[seg_start]
     at_risk = cw[-1] - cw[seg_start]
     total_w = at_risk[0]
+    survivors = (cw[-1] - cw[seg_end]) + (cwc[seg_end] - cwc[seg_start])
 
     ev = np.flatnonzero(seg_wd > 0.0)
-    factors = 1.0 - seg_wd[ev] / at_risk[ev]
+    factors = survivors[ev] / at_risk[ev]
     survival = np.concatenate([[1.0], np.cumprod(factors)])
     return KmCurve(
         group=int(group),

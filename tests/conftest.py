@@ -75,10 +75,12 @@ def python_km_reference(time, event, weight):
     order = sorted(range(len(time)), key=lambda i: time[i])
     prefix_w = [0.0]
     prefix_wd = [0.0]
+    prefix_wc = [0.0]
     for i in order:
         prefix_w.append(prefix_w[-1] + weight[i])
         prefix_wd.append(prefix_wd[-1] + weight[i] * event[i])
-    times, at_risk, events = [], [], []
+        prefix_wc.append(prefix_wc[-1] + weight[i] * (1.0 - event[i]))
+    times, at_risk, events, survivors = [], [], [], []
     k = 0
     while k < len(order):
         m = k
@@ -89,10 +91,14 @@ def python_km_reference(time, event, weight):
             times.append(time[order[k]])
             events.append(d)
             at_risk.append(prefix_w[-1] - prefix_w[k])
+            # later units plus the censored units of this block
+            survivors.append(
+                (prefix_w[-1] - prefix_w[m]) + (prefix_wc[m] - prefix_wc[k])
+            )
         k = m
     surv = [1.0]
-    for d, r in zip(events, at_risk):
-        surv.append(surv[-1] * (1.0 - d / r))
+    for s, r in zip(survivors, at_risk):
+        surv.append(surv[-1] * (s / r))
     return (
         [0.0] + times,
         surv,

@@ -1,5 +1,7 @@
 """Weighted marginal Cox estimation: score, fit, sandwich, bootstrap."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize
@@ -344,6 +346,22 @@ def fitted():
     return co, fit, w, est
 
 
+# (scheme, att target): ATT to the reference and to a non-reference group
+_SANDWICH_SCHEMES = (("ipw", None), ("ow", None), ("att", 0), ("att", 2), ("unit", None))
+
+
+@pytest.fixture(scope="module")
+def tied_cohort():
+    """Times on a quarter grid: ties among events and between events and
+    censorings."""
+    co = random_survival_cohort(np.random.default_rng(23), n=80, j=2, p=3)
+    t = np.ceil(co.time * 4.0) / 4.0
+    ev_t = set(t[co.event == 1])
+    assert len(ev_t) < int(co.event.sum())
+    assert ev_t & set(t[co.event == 0])
+    return validate_cohort(t, co.event, co.treatment, co.covariates)
+
+
 class TestSandwich:
     def test_residuals_sum_to_score(self, fitted):
         co, fit, w, est = fitted
@@ -366,38 +384,50 @@ class TestSandwich:
         np.testing.assert_allclose(pieces.psi, psi, atol=1e-11)
         np.testing.assert_allclose(pieces.psi_c, psi_c, atol=1e-10)
 
-    def test_bread_blocks_match_finite_differences(self, fitted):
-        co, fit, w, est = fitted
-        pieces = stacked_pieces(co, fit, w, est.tau)
-        n = co.n
-        j = co.n_treatments
-        # tau block: FD of the aggregate score
-        h = 1e-5
-        for k in range(j):
-            e = np.zeros(j)
-            e[k] = h
-            fd = -(
-                evaluate_score(co, w, est.tau + e).score
-                - evaluate_score(co, w, est.tau - e).score
-            ) / (2.0 * h * n)
-            np.testing.assert_allclose(pieces.a_tt[:, k], fd, rtol=1e-4, atol=1e-8)
-        # gamma cross block: FD with an independent step size
+    def test_bread_blocks_match_finite_differences(self, fitted, tied_cohort):
         from wcox import multinomial_probs
 
-        flat = fit.gamma.ravel()
-        for m in range(flat.size):
-            hm = 1e-4 * max(1.0, abs(flat[m]))
-            cols = []
-            for sign in (1.0, -1.0):
-                g = flat.copy()
-                g[m] += sign * hm
-                probs = multinomial_probs(g.reshape(fit.gamma.shape), co.covariates)
-                wg = compute_weights(probs, co.treatment, "ipw")
-                cols.append(evaluate_score(co, wg, est.tau).score)
-            fd = -(cols[0] - cols[1]) / (2.0 * hm * n)
-            np.testing.assert_allclose(
-                pieces.a_tg[:, m], fd, rtol=2e-4, atol=1e-8
-            )
+        cohorts = {"random": fitted[0], "tied": tied_cohort}
+        for (name, co), (scheme, target) in itertools.product(
+            cohorts.items(), _SANDWICH_SCHEMES
+        ):
+            label = f"{name} cohort, {scheme} {target}"
+            fit = fit_multinomial_logit(co)
+            w = compute_weights(fit, co.treatment, scheme, target)
+            tau = fit_mhr(co, w).tau
+            pieces = stacked_pieces(co, fit, w, tau)
+            n = co.n
+            j = co.n_treatments
+            # tau block: FD of the aggregate score
+            h = 1e-5
+            for k in range(j):
+                e = np.zeros(j)
+                e[k] = h
+                fd = -(
+                    evaluate_score(co, w, tau + e).score
+                    - evaluate_score(co, w, tau - e).score
+                ) / (2.0 * h * n)
+                np.testing.assert_allclose(
+                    pieces.a_tt[:, k], fd, rtol=1e-4, atol=1e-8, err_msg=label
+                )
+            if scheme == "unit":
+                # unit weights do not depend on gamma
+                np.testing.assert_array_equal(pieces.a_tg, 0.0, err_msg=label)
+            # gamma cross block: FD with an independent step size
+            flat = fit.gamma.ravel()
+            for m in range(flat.size):
+                hm = 1e-4 * max(1.0, abs(flat[m]))
+                cols = []
+                for sign in (1.0, -1.0):
+                    g = flat.copy()
+                    g[m] += sign * hm
+                    probs = multinomial_probs(g.reshape(fit.gamma.shape), co.covariates)
+                    wg = compute_weights(probs, co.treatment, scheme, target)
+                    cols.append(evaluate_score(co, wg, tau).score)
+                fd = -(cols[0] - cols[1]) / (2.0 * hm * n)
+                np.testing.assert_allclose(
+                    pieces.a_tg[:, m], fd, rtol=2e-4, atol=1e-8, err_msg=label
+                )
 
     def test_joint_cov_properties(self, fitted):
         co, fit, w, est = fitted
@@ -419,6 +449,40 @@ class TestSandwich:
         np.testing.assert_array_equal(res.cov_tau, res.cov_tau_fixed)
         brute_cov, _, _ = _brute_lin_wei_cov(co, w, est.tau)
         np.testing.assert_allclose(res.cov_tau, brute_cov, rtol=1e-9)
+
+
+def _rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _assert_same_robust_cov(cohort, other):
+    for scheme, target in _SANDWICH_SCHEMES:
+        a = fit_weighted_mhr(cohort, scheme, att_target=target).estimate.cov_tau
+        b = fit_weighted_mhr(other, scheme, att_target=target).estimate.cov_tau
+        assert _rel_diff(b, a) <= 1e-12, (scheme, target)
+
+
+class TestSandwichInvariances:
+    def test_row_permutation(self, tied_cohort):
+        perm = np.random.default_rng(24).permutation(tied_cohort.n)
+        _assert_same_robust_cov(tied_cohort, tied_cohort.subset(perm))
+
+    def test_monotone_time_transform(self, tied_cohort):
+        # the partial likelihood and its sandwich depend on time only through ranks
+        co = tied_cohort
+        t = np.exp(co.time) + co.time**3
+        moved = validate_cohort(t, co.event, co.treatment, co.covariates)
+        _assert_same_robust_cov(co, moved)
+
+    def test_fixed_weight_scale(self, fitted):
+        co, fit, _, _ = fitted
+        for scheme in ("ipw", "ow"):
+            w = compute_weights(fit, co.treatment, scheme)
+            cov = sandwich_covariance(co, None, w, fit_mhr(co, w).tau).cov_tau
+            for c in (0.37, 3.7, 1e3):
+                wc = _scaled(w, c)
+                cov_c = sandwich_covariance(co, None, wc, fit_mhr(co, wc).tau).cov_tau
+                assert _rel_diff(cov_c, cov) <= 1e-12, (scheme, c)
 
 
 @pytest.fixture(scope="module")
@@ -465,6 +529,31 @@ class TestBootstrap:
         assert b.drop_reasons.get("missing_group", 0) >= 1
         assert b.n_dropped == sum(b.drop_reasons.values())
         assert b.draws.shape[0] >= 1
+
+    def test_weight_failures_are_filed_under_propensity(self):
+        # one control unit at x = 1000 drives its group-2 propensity to
+        # ~1e-290; resamples that draw it often enough push that below the
+        # double range, so the overlap weights fail after the propensity
+        # fit converged, with messages that do not say "propensity"
+        rng = np.random.default_rng(3)
+        n = 60
+        x = rng.normal(size=n)
+        z = np.arange(n) % 3
+        t = rng.exponential(1.0, n)
+        x[0], z[0] = 1000.0, 0
+        x[z == 2] -= 1.0
+        co = validate_cohort(t, np.ones(n, dtype=int), z, x[:, None])
+        messages = []
+        for child in np.random.SeedSequence(11).spawn(20):
+            sub = co.subset(np.random.default_rng(child).integers(0, n, size=n))
+            try:
+                compute_weights(fit_multinomial_logit(sub), sub.treatment, "ow")
+            except ValidationError as exc:
+                messages.append(str(exc))
+        assert messages
+        assert not any("propensity" in m for m in messages)
+        b = bootstrap_covariance(co, "ow", 20, 11, max_drop_fraction=0.95)
+        assert b.drop_reasons == {"propensity": len(messages)}
 
     def test_unstable_bootstrap_raises(self):
         t = np.arange(1.0, 9.0)

@@ -1,6 +1,7 @@
 """Data-generating process, calibration, estimands, and the study harness."""
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -364,3 +365,11 @@ class TestWorkerCount:
         assert _worker_count() == 3
         monkeypatch.delenv("WCOX_THREADS")
         assert _worker_count() >= 1
+
+    def test_default_follows_affinity_set(self, monkeypatch):
+        monkeypatch.delenv("WCOX_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert _worker_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _worker_count() == 64

@@ -109,6 +109,26 @@ class TestBitwiseReproducibility:
             np.testing.assert_array_equal(cv.weighted_at_risk, ref[3])
 
 
+class TestTerminalEventBlock:
+    def test_curve_ending_in_events_reaches_exactly_zero(self):
+        # censored units early and an all-event last block: the at-risk and
+        # event totals of that block are differences of two prefix sums that
+        # round differently, so 1 - D/R could leave a tiny signed residue
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n = int(rng.integers(5, 40))
+            t = np.sort(rng.integers(1, 8, size=n) / 2.0)
+            d = rng.integers(0, 2, size=n)
+            d[t == t[-1]] = 1
+            co = validate_cohort(
+                np.append(t, 9.0), np.append(d, 1), np.append(np.zeros(n, int), 1)
+            )
+            w = _weights_from(co, np.exp(rng.normal(scale=0.7, size=n + 1)))
+            cv = weighted_km(co, w, 0)
+            assert cv.survival[-1] == 0.0
+            assert np.all(cv.survival[:-1] > 0.0)
+
+
 class TestValidation:
     def test_group_bounds(self):
         co = validate_cohort([1, 2], [1, 1], [0, 1])
