@@ -39,6 +39,11 @@ def _revcum(x: np.ndarray) -> np.ndarray:
     return (within + offsets[:, None]).ravel()[:n][::-1]
 
 
+def _cumsum(x: np.ndarray) -> np.ndarray:
+    """Forward cumulative sum with the blocked accumulation of `_revcum`."""
+    return _revcum(x[::-1])[::-1]
+
+
 class CoxProblem:
     """Preprocessed weighted Cox problem: sorted arrays and tie blocks."""
 
@@ -69,10 +74,30 @@ class CoxProblem:
         self.w_ev = self.w[ev]
         self.n_events = int(np.count_nonzero(self.d))
 
-    def quantities(self, beta, need_info=True):
+    def _risk_sums(self, eta):
+        """r = w exp(eta), and at each weighted event the at-risk total s0
+        and the at-risk mean design row dbar, shape (events, q)."""
+        r = self.w * np.exp(eta)
+        s0 = _revcum(r)[self.ev_starts]
+        dbar = np.empty((self.ev.size, self.q))
+        for a in range(self.q):
+            dbar[:, a] = _revcum(r * self.Q[:, a])[self.ev_starts] / s0
+        return r, s0, dbar
+
+    def _information(self, r, s0, dbar):
+        info = np.empty((self.q, self.q))
+        for a in range(self.q):
+            ra = r * self.Q[:, a]
+            for b in range(a, self.q):
+                s2ab = _revcum(ra * self.Q[:, b])[self.ev_starts] / s0
+                info[a, b] = info[b, a] = float(
+                    np.sum(self.w_ev * (s2ab - dbar[:, a] * dbar[:, b]))
+                )
+        return info
+
+    def quantities(self, beta):
         """Weighted partial log-likelihood, score, and information at beta.
 
-        Returns (loglik, score, info); info is None unless requested.
         The log-likelihood uses the unnormalized risk-set totals
         sum_{l in R} w_l exp(eta_l).
         """
@@ -83,28 +108,43 @@ class CoxProblem:
         shift = np.max(eta) if eta.size else 0.0
         if not np.isfinite(shift):
             return -np.inf, np.full(self.q, np.nan), None
-        r = self.w * np.exp(eta - shift)
-        s0 = _revcum(r)[self.ev_starts]
-        eta_ev = eta[self.ev]
         # s0 can underflow to 0 for wild step-halving candidates; the
         # resulting non-finite loglik is rejected by the caller
         with np.errstate(divide="ignore", invalid="ignore"):
-            loglik = float(np.sum(self.w_ev * (eta_ev - shift - np.log(s0))))
-            dbar = np.empty((self.ev.size, self.q))
-            for a in range(self.q):
-                dbar[:, a] = _revcum(r * self.Q[:, a])[self.ev_starts] / s0
+            r, s0, dbar = self._risk_sums(eta - shift)
+            loglik = float(np.sum(self.w_ev * (eta[self.ev] - shift - np.log(s0))))
             score = self.w_ev @ (self.Q[self.ev] - dbar)
-            if not need_info:
-                return loglik, score, None
-            info = np.empty((self.q, self.q))
-            for a in range(self.q):
-                ra = r * self.Q[:, a]
-                for b in range(a, self.q):
-                    s2ab = _revcum(ra * self.Q[:, b])[self.ev_starts] / s0
-                    info[a, b] = info[b, a] = float(
-                        np.sum(self.w_ev * (s2ab - dbar[:, a] * dbar[:, b]))
-                    )
+            info = self._information(r, s0, dbar)
         return loglik, score, info
+
+    def residuals(self, beta):
+        """Lin-Wei score residuals and the information at beta.
+
+        Returns (psi, psi_c, info); psi and psi_c are (n, q) in input row
+        order.  psi_i = w_i d_i (Q_i - Dbar(Y_i)) sums to the score, and
+        psi_c subtracts the risk-set term
+        w_i exp(eta_i) sum_{events e: Y_e <= Y_i} (w_e / S0(Y_e)) (Q_i - Dbar(Y_e)),
+        which sums to zero over the units.
+        """
+        beta = np.asarray(beta, dtype=np.float64)
+        eta = self.Q @ beta
+        r, s0, dbar = self._risk_sums(eta - np.max(eta))
+        psi = np.zeros((self.n, self.q))
+        psi[self.ev] = self.w_ev[:, None] * (self.Q[self.ev] - dbar)
+        # cumulative event terms over ascending event times; record k sees
+        # the events up to the end of its tie block
+        q_ev = self.w_ev / s0
+        cum_q = np.zeros(self.ev.size + 1)
+        cum_q[1:] = _cumsum(q_ev)
+        cum_qd = np.zeros((self.ev.size + 1, self.q))
+        for a in range(self.q):
+            cum_qd[1:, a] = _cumsum(q_ev * dbar[:, a])
+        upto = np.searchsorted(self.t[self.ev], self.t, side="right")
+        psi_c = psi - r[:, None] * (self.Q * cum_q[upto][:, None] - cum_qd[upto])
+        out, out_c = np.empty_like(psi), np.empty_like(psi_c)
+        out[self.order] = psi
+        out_c[self.order] = psi_c
+        return out, out_c, self._information(r, s0, dbar)
 
 
 @dataclass(frozen=True)
@@ -119,31 +159,101 @@ class CoxFitCore:
     score_norm: float  # gradient inf-norm on the mean-one weight scale
 
 
-def fit_cox(
-    time,
-    event,
-    design,
-    weights,
-    *,
-    score_tol=1e-9,
+@dataclass(frozen=True)
+class _NewtonLimits:
+    """Iteration limits of one damped-Newton caller and its ConvergenceError
+    messages, which may use the fields {bound}, {max_iter} and {gnorm}."""
+
+    max_iter: int
+    bound: float  # largest |coefficient| allowed while the gradient is above tol
+    singular: str
+    no_ascent: str
+    diverged: str
+    stalled: str
+
+    def error(self, message: str, gnorm: float = np.nan) -> ConvergenceError:
+        return ConvergenceError(
+            message.format(bound=self.bound, max_iter=self.max_iter, gnorm=gnorm)
+        )
+
+
+_MAX_HALVINGS = 30
+
+
+def _damped_newton(evaluate, x, tol, limits, regularize=None):
+    """Maximize a concave log-likelihood by Newton ascent with step-halving.
+
+    `evaluate(x)` returns (loglik, score, info, ...) with info the negative
+    Hessian; a step is accepted once the log-likelihood is finite and no
+    lower than the current one (to a 1e-10 relative slack).  `regularize`,
+    when given, maps info to the matrix actually solved.  Returns
+    (x, values, iterations, gnorm), with values the full tuple of
+    `evaluate` at the solution and gnorm its gradient inf-norm (<= tol).
+    """
+    values = evaluate(x)
+    iterations = 0
+    gnorm = float(np.max(np.abs(values[1])))
+    for _ in range(limits.max_iter):
+        if gnorm <= tol:
+            break
+        loglik, score, info = values[:3]
+        if regularize is not None:
+            info = regularize(info)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            raise limits.error(limits.singular) from None
+        for _h in range(_MAX_HALVINGS + 1):
+            cand = x + step
+            new = evaluate(cand)
+            if np.isfinite(new[0]) and new[0] >= loglik - 1e-10 * (1.0 + abs(loglik)):
+                break
+            step = 0.5 * step
+        else:
+            raise limits.error(limits.no_ascent)
+        x, values = cand, new
+        iterations += 1
+        gnorm = float(np.max(np.abs(values[1])))
+        if np.max(np.abs(x)) > limits.bound and gnorm > tol:
+            raise limits.error(limits.diverged)
+    if not gnorm <= tol:
+        raise limits.error(limits.stalled, gnorm)
+    return x, values, iterations, gnorm
+
+
+_COX_LIMITS = _NewtonLimits(
     max_iter=50,
-    max_halvings=30,
-    separation_bound=20.0,
-) -> CoxFitCore:
+    bound=20.0,
+    singular="singular partial-likelihood information matrix",
+    no_ascent="step-halving failed to improve the partial likelihood",
+    diverged=(
+        "coefficients diverged beyond |beta| > {bound:g}: monotone likelihood "
+        "(separation in the survival ordering)"
+    ),
+    stalled=(
+        "no convergence within {max_iter} Newton iterations "
+        "(gradient inf-norm {gnorm:.3e})"
+    ),
+)
+
+
+def fit_cox(time, event, design, weights) -> CoxFitCore:
     """Maximize the weighted Cox partial likelihood by damped Newton.
 
-    Weights are rescaled to mean one internally, which keeps the gradient
-    tolerance meaningful across weight scales and makes the iterate
-    sequence invariant to positive rescaling of the weights; reported
-    loglik/score/info are transformed back to the raw weight scale.
+    Newton from beta = 0 with step-halving, to a gradient inf-norm of
+    1e-9 within 50 iterations.  Weights are rescaled to mean one
+    internally, which keeps the gradient tolerance meaningful across
+    weight scales and makes the iterate sequence invariant to positive
+    rescaling of the weights; reported loglik/score/info are transformed
+    back to the raw weight scale.
 
     Raises
     ------
     ConvergenceError
         On a singular information matrix, failed step-halving, iteration
-        exhaustion, or divergence (any |beta| beyond `separation_bound`
-        while the gradient is still above tolerance), which indicates a
-        monotone likelihood / separation in the survival ordering.
+        exhaustion, or divergence (any |beta| beyond 20 while the gradient
+        is still above tolerance), which indicates a monotone likelihood /
+        separation in the survival ordering.
     """
     weights = np.asarray(weights, dtype=np.float64)
     wbar = float(weights.mean()) if weights.size else 0.0
@@ -159,51 +269,10 @@ def fit_cox(
     # weighted event mass; below this floor Newton only chases rounding
     # noise (only reachable for cohorts in the millions of records)
     w_ev_total = float(np.sum(prob.w_ev))
-    tol = max(score_tol, 1024.0 * np.finfo(np.float64).eps * w_ev_total)
-
-    beta = np.zeros(prob.q)
-    loglik, score, info = prob.quantities(beta)
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        gnorm = float(np.max(np.abs(score)))
-        if gnorm <= tol:
-            converged = True
-            break
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "singular partial-likelihood information matrix"
-            ) from None
-        accepted = False
-        for _h in range(max_halvings + 1):
-            cand = beta + step
-            ll_new, score_new, info_new = prob.quantities(cand)
-            if np.isfinite(ll_new) and ll_new >= loglik - 1e-10 * (1.0 + abs(loglik)):
-                accepted = True
-                break
-            step = 0.5 * step
-        if not accepted:
-            raise ConvergenceError(
-                "step-halving failed to improve the partial likelihood"
-            )
-        beta, loglik, score, info = cand, ll_new, score_new, info_new
-        iterations += 1
-        if np.max(np.abs(beta)) > separation_bound and np.max(np.abs(score)) > tol:
-            raise ConvergenceError(
-                "coefficients diverged beyond |beta| > "
-                f"{separation_bound:g}: monotone likelihood (separation in "
-                "the survival ordering)"
-            )
-    else:
-        gnorm = float(np.max(np.abs(score)))
-        converged = gnorm <= tol
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence within {max_iter} Newton iterations "
-            f"(gradient inf-norm {gnorm:.3e})"
-        )
+    tol = max(1e-9, 1024.0 * np.finfo(np.float64).eps * w_ev_total)
+    beta, (loglik, score, info), iterations, gnorm = _damped_newton(
+        prob.quantities, np.zeros(prob.q), tol, _COX_LIMITS
+    )
 
     # exact raw-scale transforms: score and info are degree-1 homogeneous
     # in the weights; the loglik picks up -log(wbar) per weighted event

@@ -37,6 +37,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _indicators(treatment: np.ndarray, n_treatments: int) -> np.ndarray:
+    """(n, J) 0/1 matrix of the non-reference groups: column k-1 marks
+    group k, and rows of the reference group 0 are all zero."""
+    d = np.zeros((treatment.shape[0], n_treatments))
+    pos = treatment >= 1
+    d[np.flatnonzero(pos), treatment[pos] - 1] = 1.0
+    return d
+
+
 @dataclass(frozen=True)
 class Cohort:
     """Right-censored survival cohort with a categorical treatment.

@@ -20,10 +20,17 @@ import numpy as np
 from scipy.stats import norm
 
 from ._engine import CoxProblem, fit_cox
-from .data_model import Cohort, ConvergenceError, StudyError, ValidationError
+from .data_model import (
+    Cohort,
+    ConvergenceError,
+    StudyError,
+    ValidationError,
+    _indicators,
+)
 from .propensity import (
     PropensityFit,
     WeightSet,
+    _unit_weights,
     compute_weights,
     fit_multinomial_logit,
     multinomial_information,
@@ -31,14 +38,12 @@ from .propensity import (
 )
 
 __all__ = [
-    "RiskProcesses",
     "ScoreResult",
     "MhrEstimate",
     "StackedPieces",
     "SandwichResult",
     "BootstrapResult",
     "FitBundle",
-    "risk_processes",
     "evaluate_score",
     "fit_mhr",
     "stacked_pieces",
@@ -49,49 +54,22 @@ __all__ = [
 ]
 
 
-def _indicator_design(treatment: np.ndarray, n_treatments: int) -> np.ndarray:
-    d = np.zeros((treatment.shape[0], n_treatments))
-    pos = treatment >= 1
-    d[np.flatnonzero(pos), treatment[pos] - 1] = 1.0
-    return d
-
-
 def _check_alignment(cohort: Cohort, weights: WeightSet):
     if weights.n != cohort.n:
         raise ValidationError("weights must align with the cohort")
 
 
-@dataclass(frozen=True)
-class RiskProcesses:
-    """Weighted at-risk averages at one time point.
-
-    s0 = (1/n) sum_l w_l 1(Y_l >= t) exp(eta_l), s1 its treatment-indicator
-    moment (length J), s2 = diag(s1) for the indicator design, and
-    dbar = s1 / s0 is the weighted at-risk mean of the indicators.
-    """
-
-    t: float
-    s0: float
-    s1: np.ndarray
-    s2: np.ndarray
-    dbar: np.ndarray
-
-
-def risk_processes(cohort: Cohort, weights: WeightSet, tau, t: float) -> RiskProcesses:
-    """Compute the at-risk averages S(0), S(1), S(2), and Dbar at time t."""
+def _indicator_problem(cohort: Cohort, weights: WeightSet, tau):
+    """The weighted Cox problem of the indicator design, and tau as floats."""
     _check_alignment(cohort, weights)
     tau = np.asarray(tau, dtype=np.float64)
     j = cohort.n_treatments
-    d = _indicator_design(cohort.treatment, j)
-    eta = d @ tau
-    at_risk = cohort.time >= t
-    r = weights.weights * at_risk * np.exp(eta)
-    n = cohort.n
-    s0 = float(r.sum()) / n
-    s1 = (r @ d) / n
-    if s0 <= 0.0:
-        raise ValidationError(f"empty weighted risk set at t = {t:g}")
-    return RiskProcesses(t=float(t), s0=s0, s1=s1, s2=np.diag(s1), dbar=s1 / s0)
+    if tau.shape != (j,):
+        raise ValidationError(f"tau must have one component per group, shape ({j},)")
+    prob = CoxProblem(
+        cohort.time, cohort.event, _indicators(cohort.treatment, j), weights.weights
+    )
+    return prob, tau
 
 
 @dataclass(frozen=True)
@@ -109,17 +87,7 @@ def evaluate_score(cohort: Cohort, weights: WeightSet, tau) -> ScoreResult:
     Degree-1 homogeneous in the weights: scaling all weights by c > 0
     scales the score by c and leaves the root unchanged.
     """
-    _check_alignment(cohort, weights)
-    tau = np.asarray(tau, dtype=np.float64)
-    j = cohort.n_treatments
-    if tau.shape != (j,):
-        raise ValidationError(f"tau must have one component per group, shape ({j},)")
-    prob = CoxProblem(
-        cohort.time,
-        cohort.event,
-        _indicator_design(cohort.treatment, j),
-        weights.weights,
-    )
+    prob, tau = _indicator_problem(cohort, weights, tau)
     loglik, score, info = prob.quantities(tau)
     return ScoreResult(score=score, loglik=loglik, info=info)
 
@@ -170,12 +138,12 @@ class MhrEstimate:
         return replace(self, cov_tau=cov_tau, variance_method=method, ci_level=ci_level)
 
 
-def fit_mhr(cohort: Cohort, weights: WeightSet, *, score_tol=1e-9, max_iter=50) -> MhrEstimate:
+def fit_mhr(cohort: Cohort, weights: WeightSet) -> MhrEstimate:
     """Point estimate of the log marginal hazard ratios.
 
-    Newton-Raphson from tau = 0 with step-halving; the gradient tolerance
-    is applied on a mean-one weight scale so the iterate sequence is
-    invariant to positive rescaling of the weights.
+    Newton-Raphson from tau = 0 with step-halving (`fit_cox`); the
+    gradient tolerance 1e-9 is applied on a mean-one weight scale so the
+    iterate sequence is invariant to positive rescaling of the weights.
 
     Raises
     ------
@@ -199,11 +167,8 @@ def fit_mhr(cohort: Cohort, weights: WeightSet, *, score_tol=1e-9, max_iter=50) 
     core = fit_cox(
         cohort.time,
         cohort.event,
-        _indicator_design(cohort.treatment, j),
+        _indicators(cohort.treatment, j),
         weights.weights,
-        score_tol=score_tol,
-        max_iter=max_iter,
-        separation_bound=20.0,
     )
     return MhrEstimate(
         tau=core.beta,
@@ -252,43 +217,6 @@ class StackedPieces:
         return phi.T @ phi / phi.shape[0]
 
 
-def _corrected_residuals(cohort: Cohort, weights: WeightSet, tau) -> tuple[np.ndarray, np.ndarray]:
-    """psi and its risk-set-corrected version, both (n, J)."""
-    j = cohort.n_treatments
-    d = _indicator_design(cohort.treatment, j)
-    w = weights.weights
-    eta = d @ tau
-    expeta = np.exp(eta)
-    order = np.argsort(cohort.time, kind="stable")
-    t_s = cohort.time[order]
-    starts = np.searchsorted(t_s, t_s, side="left")
-    r_s = (w * expeta)[order]
-    s0_all = np.cumsum(r_s[::-1])[::-1]
-
-    ev_pos = np.flatnonzero(cohort.event[order] == 1)
-    ev_times = t_s[ev_pos]
-    s0_ev = s0_all[starts[ev_pos]]
-    w_ev = w[order][ev_pos]
-    dbar_ev = np.empty((ev_pos.size, j))
-    for a in range(j):
-        dbar_ev[:, a] = np.cumsum((r_s * d[order][:, a])[::-1])[::-1][starts[ev_pos]] / s0_ev
-
-    psi = np.zeros((cohort.n, j))
-    is_ev = cohort.event == 1
-    dbar_at_own = np.zeros((cohort.n, j))
-    dbar_at_own[order[ev_pos]] = dbar_ev
-    psi[is_ev] = (w[:, None] * (d - dbar_at_own))[is_ev]
-
-    # correction: w_i e^{eta_i} sum_{events e: Y_e <= Y_i} q_e (D_i - Dbar(Y_e)),
-    # q_e = w_e / sum_{l: Y_l >= Y_e} w_l e^{eta_l}
-    q_ev = w_ev / s0_ev
-    cum_q = np.concatenate([[0.0], np.cumsum(q_ev)])
-    cum_qd = np.vstack([np.zeros(j), np.cumsum(q_ev[:, None] * dbar_ev, axis=0)])
-    upto = np.searchsorted(ev_times, cohort.time, side="right")
-    corr = (w * expeta)[:, None] * (d * cum_q[upto][:, None] - cum_qd[upto])
-    return psi, psi - corr
-
-
 def _log_weight_gradient(psfit: PropensityFit, weights: WeightSet, treatment) -> np.ndarray:
     """d log w_i / d gamma, shape (n, J(p+1)) in gamma.ravel() order.
 
@@ -298,7 +226,7 @@ def _log_weight_gradient(psfit: PropensityFit, weights: WeightSet, treatment) ->
     """
     e = psfit.probs[:, 1:]
     j = e.shape[1]
-    coef = e - _indicator_design(treatment, j)
+    coef = e - _indicators(treatment, j)
     if weights.scheme == "att":
         coef += (np.arange(1, j + 1) == weights.att_target) - e
     elif weights.scheme == "ow":
@@ -321,15 +249,14 @@ def stacked_pieces(
     each divided by n.  a_tg = -(1/n) psi_c' (d log w / d gamma), because
     the tau-score moves with each weight as dU/dw_l = psi_c_l / w_l.
     a_gt is exactly zero.  With psfit=None the weights are treated as
-    known and the gamma blocks are empty.
+    known and the gamma blocks are empty.  psi, psi_c and a_tt come from
+    one sorted pass (`CoxProblem.residuals`).
     """
-    _check_alignment(cohort, weights)
-    tau = np.asarray(tau, dtype=np.float64)
+    prob, tau = _indicator_problem(cohort, weights, tau)
     n = cohort.n
     j = cohort.n_treatments
-
-    psi, psi_c = _corrected_residuals(cohort, weights, tau)
-    a_tt = evaluate_score(cohort, weights, tau).info / n
+    psi, psi_c, info = prob.residuals(tau)
+    a_tt = info / n
 
     if psfit is None:
         return StackedPieces(
@@ -340,7 +267,7 @@ def stacked_pieces(
             a_tg=np.zeros((j, 0)),
             a_gg=np.zeros((0, 0)),
         )
-    onehot = _indicator_design(cohort.treatment, psfit.n_treatments)
+    onehot = _indicators(cohort.treatment, psfit.n_treatments)
     resid = onehot - psfit.probs[:, 1:]
     pi = (resid[:, :, None] * psfit.design[:, None, :]).reshape(n, -1)
     a_gg = multinomial_information(psfit.probs, psfit.design) / n
@@ -386,7 +313,9 @@ def sandwich_covariance(
     """Stacked M-estimation sandwich covariance A^-1 B A^-T / n.
 
     With psfit=None (or UNIT weights, whose gamma cross block vanishes)
-    the result reduces to the fixed-weight robust variance.
+    the result reduces to the fixed-weight robust variance.  After a trim
+    without refit, psfit holds the full-sample gamma with its rows cut to
+    the kept units, and gamma is treated as if it had been fitted on them.
     """
     tau = np.asarray(tau, dtype=np.float64)
     n = cohort.n
@@ -464,9 +393,7 @@ def bootstrap_covariance(
             continue
         try:
             if scheme == "unit":
-                w = compute_weights(
-                    np.full((n, j + 1), 1.0 / (j + 1)), sub.treatment, "unit"
-                )
+                w = _unit_weights(sub)
             else:
                 ps = fit_multinomial_logit(sub)
                 w = compute_weights(ps, sub.treatment, scheme, att_target)
@@ -559,10 +486,7 @@ def fit_weighted_mhr(
         cohort = trim_result.cohort
         psfit = trim_result.fit
     if scheme == "unit":
-        j = cohort.n_treatments
-        weights = compute_weights(
-            np.full((cohort.n, j + 1), 1.0 / (j + 1)), cohort.treatment, "unit"
-        )
+        weights = _unit_weights(cohort)
     else:
         weights = compute_weights(psfit, cohort.treatment, scheme, att_target)
     estimate = fit_mhr(cohort, weights)

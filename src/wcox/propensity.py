@@ -14,12 +14,13 @@ all coefficients of group 1, then group 2, and so on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .data_model import Cohort, ConvergenceError, ValidationError
+from ._engine import _damped_newton, _NewtonLimits
+from .data_model import Cohort, ValidationError, _indicators, _readonly
 
 __all__ = [
     "PropensityFit",
@@ -91,7 +92,7 @@ class PropensityFit:
         return self.gamma.shape[0]
 
 
-def _multinomial_quantities(gamma, xt, onehot, need_hessian=True):
+def _multinomial_quantities(gamma, xt, onehot):
     n = xt.shape[0]
     logits = np.column_stack([np.zeros(n), xt @ gamma.T])
     lse = logsumexp(logits, axis=1)
@@ -99,91 +100,72 @@ def _multinomial_quantities(gamma, xt, onehot, need_hessian=True):
     probs = np.exp(logits - lse[:, None])
     resid = onehot - probs[:, 1:]
     score = (resid.T @ xt).ravel()
-    if not need_hessian:
-        return loglik, score, probs, None
-    return loglik, score, probs, multinomial_information(probs, xt)
+    return loglik, score, multinomial_information(probs, xt), probs
 
 
-def fit_multinomial_logit(
-    cohort: Cohort,
-    *,
-    score_tol=1e-8,
+_RIDGE = 1e-8
+_CONDITION_LIMIT = 1e12
+_PROPENSITY_LIMITS = _NewtonLimits(
     max_iter=100,
-    max_halvings=30,
-    separation_bound=30.0,
-    ridge=1e-8,
-    condition_limit=1e12,
-) -> PropensityFit:
+    bound=30.0,
+    singular="singular propensity information matrix",
+    no_ascent="step-halving failed to improve the multinomial likelihood",
+    diverged=(
+        "propensity coefficients beyond |gamma| > {bound:g}: "
+        "quasi-separation of treatment groups"
+    ),
+    stalled=(
+        "propensity model did not converge within {max_iter} iterations "
+        "(gradient inf-norm {gnorm:.3e})"
+    ),
+)
+
+
+def fit_multinomial_logit(cohort: Cohort) -> PropensityFit:
     """Maximum-likelihood multinomial logistic propensity model.
 
     Newton-Raphson from gamma = 0 with step-halving; converges when the
-    gradient inf-norm is at most `score_tol`.  When the Fisher information
-    is ill-conditioned (condition estimate beyond `condition_limit`) a
-    small ridge is added and a warning is issued.
+    gradient inf-norm is at most 1e-8, within 100 iterations.  When the
+    Fisher information is ill-conditioned (condition estimate beyond
+    1e12) a ridge of 1e-8 is added to it and a warning is issued.
 
     Raises
     ------
     ConvergenceError
         On iteration exhaustion, failed step-halving, or quasi-separation
-        (any coefficient beyond `separation_bound` in absolute value).
+        (any coefficient beyond 30 in absolute value).
     """
     j = cohort.n_treatments
     if j < 1:
         raise ValidationError("at least two treatment groups are required")
     xt = _design(cohort.covariates)
     d = xt.shape[1]
-    onehot = np.zeros((cohort.n, j))
-    pos = cohort.treatment >= 1
-    onehot[np.flatnonzero(pos), cohort.treatment[pos] - 1] = 1.0
-
-    gamma = np.zeros((j, d))
-    loglik, score, probs, hess = _multinomial_quantities(gamma, xt, onehot)
+    onehot = _indicators(cohort.treatment, j)
     ridged = False
-    iterations = 0
-    gnorm = float(np.max(np.abs(score)))
-    for _ in range(max_iter):
-        if gnorm <= score_tol:
-            break
-        if np.linalg.cond(hess) > condition_limit:
-            hess = hess + ridge * np.eye(j * d)
+
+    def regularize(hess):
+        nonlocal ridged
+        if np.linalg.cond(hess) > _CONDITION_LIMIT:
+            hess = hess + _RIDGE * np.eye(j * d)
             if not ridged:
                 warnings.warn(
                     "ill-conditioned propensity information matrix; "
-                    f"adding ridge {ridge:g}",
-                    stacklevel=2,
+                    f"adding ridge {_RIDGE:g}",
+                    stacklevel=4,
                 )
             ridged = True
-        step = np.linalg.solve(hess, score).reshape(j, d)
-        accepted = False
-        for _h in range(max_halvings + 1):
-            cand = gamma + step
-            ll_new, score_new, probs_new, hess_new = _multinomial_quantities(
-                cand, xt, onehot
-            )
-            if np.isfinite(ll_new) and ll_new >= loglik - 1e-10 * (1.0 + abs(loglik)):
-                accepted = True
-                break
-            step = 0.5 * step
-        if not accepted:
-            raise ConvergenceError(
-                "step-halving failed to improve the multinomial likelihood"
-            )
-        gamma, loglik, score, probs, hess = cand, ll_new, score_new, probs_new, hess_new
-        iterations += 1
-        gnorm = float(np.max(np.abs(score)))
-        if np.max(np.abs(gamma)) > separation_bound and gnorm > score_tol:
-            raise ConvergenceError(
-                f"propensity coefficients beyond |gamma| > {separation_bound:g}: "
-                "quasi-separation of treatment groups"
-            )
-    if gnorm > score_tol:
-        raise ConvergenceError(
-            f"propensity model did not converge within {max_iter} iterations "
-            f"(gradient inf-norm {gnorm:.3e})"
-        )
+        return hess
+
+    theta, (loglik, _, _, probs), iterations, gnorm = _damped_newton(
+        lambda th: _multinomial_quantities(th.reshape(j, d), xt, onehot),
+        np.zeros(j * d),
+        1e-8,
+        _PROPENSITY_LIMITS,
+        regularize,
+    )
     probs = probs.copy()
     probs.setflags(write=False)
-    gamma = gamma.copy()
+    gamma = theta.reshape(j, d).copy()
     gamma.setflags(write=False)
     return PropensityFit(
         gamma=gamma,
@@ -317,6 +299,14 @@ def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> We
     )
 
 
+def _unit_weights(cohort: Cohort) -> WeightSet:
+    """UNIT weights without a propensity model: `compute_weights` on
+    uniform propensities 1/(J+1), so every weight is exactly 1 and the
+    tilt is 1/(J+1)."""
+    g = cohort.n_treatments + 1
+    return compute_weights(np.full((cohort.n, g), 1.0 / g), cohort.treatment, "unit")
+
+
 @dataclass(frozen=True)
 class TrimResult:
     """Outcome of propensity trimming."""
@@ -335,7 +325,11 @@ def trim(cohort: Cohort, fit: PropensityFit, threshold: float, refit=True) -> Tr
 
     The symmetric rule drops unit i when min_j e_{i,j} < threshold.  With
     refit=True (default) the propensity model is re-estimated on the
-    trimmed cohort.  threshold must lie in [0, 1/(J+1)): at 1/(J+1) or
+    trimmed cohort.  With refit=False the original gamma is kept and
+    `probs` and `design` are cut to the kept rows, so later steps (the
+    stacked sandwich included) treat gamma as if it had been fitted on
+    the kept units; loglik, iterations and score_norm stay those of the
+    fit on all units.  threshold must lie in [0, 1/(J+1)): at 1/(J+1) or
     above even perfectly uniform propensities would be removed.
     """
     g = cohort.n_treatments + 1
@@ -357,7 +351,12 @@ def trim(cohort: Cohort, fit: PropensityFit, threshold: float, refit=True) -> Tr
             f"trimming at {threshold:g} removed every unit of group(s) {names}"
         )
     trimmed = cohort.subset(kept)
-    new_fit = fit_multinomial_logit(trimmed) if refit else fit
+    if refit:
+        new_fit = fit_multinomial_logit(trimmed)
+    else:
+        new_fit = replace(
+            fit, probs=_readonly(fit.probs[kept]), design=fit.design[kept]
+        )
     return TrimResult(trimmed, new_fit, float(threshold), kept, removed,
                       removed_by_group, refitted=bool(refit))
 

@@ -26,6 +26,7 @@ from .data_model import (
     ConvergenceError,
     StudyError,
     ValidationError,
+    _indicators,
     _readonly,
     factorial_treatment_labels,
 )
@@ -580,23 +581,16 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
         se_boot[scheme] = np.sqrt(np.diag(boot.cov_tau))
 
     naive = fit_cox(
-        cohort.time, cohort.event, _indicator(cohort.treatment, j), np.ones(cohort.n)
+        cohort.time, cohort.event, _indicators(cohort.treatment, j), np.ones(cohort.n)
     )
     tau["naive"] = naive.beta
     se["naive"] = np.sqrt(np.diag(np.linalg.inv(naive.info)))
 
-    design = np.hstack([_indicator(cohort.treatment, j), cohort.covariates])
+    design = np.hstack([_indicators(cohort.treatment, j), cohort.covariates])
     mv = fit_cox(cohort.time, cohort.event, design, np.ones(cohort.n))
     tau["multivariable"] = mv.beta[:j]
     se["multivariable"] = np.sqrt(np.diag(np.linalg.inv(mv.info))[:j])
     return tau, se, se_boot
-
-
-def _indicator(treatment, j):
-    d = np.zeros((treatment.shape[0], j))
-    pos = treatment >= 1
-    d[np.flatnonzero(pos), treatment[pos] - 1] = 1.0
-    return d
 
 
 def _replicate_worker(args):

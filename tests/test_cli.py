@@ -225,6 +225,30 @@ class TestFit:
         assert out["trim"]["n_after"] + out["trim"]["n_removed"] == 120
         assert out["trim"]["refitted"] is True
 
+    def test_trim_without_refit(self, cohort_csv, capsys):
+        args = [
+            "fit",
+            cohort_csv,
+            "--time",
+            "t",
+            "--event",
+            "d",
+            "--treatment",
+            "z",
+            "--covariates",
+            "x1,x2,x3",
+            "--trim",
+            "0.1",
+            "--no-trim-refit",
+        ]
+        assert main(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["trim"]["n_removed"] > 0
+        assert out["trim"]["refitted"] is False
+        assert out["n"] == out["trim"]["n_after"]
+        for est in out["estimates"]:
+            assert est["se"] > 0
+
 
 class TestLoadingErrors:
     def test_missing_column_names_the_column(self, four_unit_csv, capsys):

@@ -12,6 +12,7 @@ from wcox import (
     MhrEstimate,
     StudyError,
     ValidationError,
+    WeightSet,
     bootstrap_covariance,
     compute_weights,
     confidence_intervals,
@@ -19,7 +20,6 @@ from wcox import (
     fit_mhr,
     fit_multinomial_logit,
     fit_weighted_mhr,
-    risk_processes,
     sandwich_covariance,
     stacked_pieces,
     validate_cohort,
@@ -78,28 +78,21 @@ class TestFourUnitExample:
 
 
 class TestRiskProcesses:
+    # the at-risk mean Dbar(2) of the treatment indicator, read off the
+    # residual psi = w (D - Dbar) of the control unit that fails at t = 2
+
     def test_hand_values_at_t2_tau0(self):
         co = _four_unit_cohort()
-        rp = risk_processes(co, _unit_weights(co), [0.0], 2.0)
-        # at-risk units {2,3,4}; only unit 4 is treated
-        assert rp.s0 == pytest.approx(3.0 / 4.0, abs=1e-15)
-        np.testing.assert_allclose(rp.s1, [1.0 / 4.0], atol=1e-15)
-        np.testing.assert_allclose(rp.dbar, [1.0 / 3.0], atol=1e-15)
-        np.testing.assert_allclose(rp.s2, np.diag(rp.s1))
+        psi = stacked_pieces(co, None, _unit_weights(co), [0.0]).psi
+        # at-risk units {2,3,4}; only unit 4 is treated: dbar = 1/3
+        np.testing.assert_allclose(psi[1], [-1.0 / 3.0], atol=1e-15)
 
     def test_tau_tilts_the_at_risk_average(self):
         co = _four_unit_cohort()
         tau = np.log(2.0)
-        rp = risk_processes(co, _unit_weights(co), [tau], 2.0)
-        # r = 2: s0 = (1 + 1 + 2)/4, s1 = 2/4
-        assert rp.s0 == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(rp.dbar, [0.5], atol=1e-15)
-
-    def test_empty_risk_set_raises(self):
-        co = _four_unit_cohort()
-        with pytest.raises(ValidationError, match="empty weighted risk set"):
-            risk_processes(co, _unit_weights(co), [0.0], 5.0)
-
+        psi = stacked_pieces(co, None, _unit_weights(co), [tau]).psi
+        # r = 2: s0 = 1 + 1 + 2, s1 = 2, dbar = 1/2
+        np.testing.assert_allclose(psi[1], [-0.5], atol=1e-15)
 
 class TestScoreProperties:
     def test_matches_brute_force_on_random_cohorts(self):
@@ -485,6 +478,78 @@ class TestSandwichInvariances:
                 assert _rel_diff(cov_c, cov) <= 1e-12, (scheme, c)
 
 
+    def test_reference_relabelling(self):
+        # refitting with reference r gives tau_k - tau_r and L cov L'.  The
+        # solvers stop at gradient inf-norms of 1e-8 (propensity) and 1e-9
+        # (Cox, mean-one weights), so each fit may sit off its exact root
+        # by about that gradient over the information (of order n/10 here):
+        # about 1e-10 in gamma and tau, moving weights and the sandwich
+        # relatively by about as much.  atol 1e-8 on tau and rtol 1e-7 on
+        # the covariance leave a margin of 100 over that bound (the
+        # measured differences are rounding, below 1e-14).
+        co = random_survival_cohort(np.random.default_rng(31), n=200, j=3, p=3)
+        for scheme in ("ipw", "ow"):
+            base = fit_weighted_mhr(co, scheme).estimate
+            for r in (1, 2, 3):
+                moved = validate_cohort(
+                    co.time, co.event, co.treatment, co.covariates, reference=r
+                )
+                est = fit_weighted_mhr(moved, scheme).estimate
+                # new group k is original group orig[k]; tau_0 = 0
+                orig = [int(label) for label in moved.treatment_labels]
+                contrast = np.zeros((3, 4))
+                contrast[np.arange(3), orig[1:]] += 1.0
+                contrast[:, r] -= 1.0
+                contrast = contrast[:, 1:]
+                np.testing.assert_allclose(
+                    est.tau,
+                    contrast @ base.tau,
+                    rtol=0,
+                    atol=1e-8,
+                    err_msg=(scheme, r),
+                )
+                np.testing.assert_allclose(
+                    est.cov_tau,
+                    contrast @ base.cov_tau @ contrast.T,
+                    rtol=1e-7,
+                    atol=1e-7 * np.max(np.abs(base.cov_tau)),
+                    err_msg=(scheme, r),
+                )
+
+    def test_duplicate_rows_versus_frequency_weights(self, fitted):
+        co, fit, w, _ = fitted
+        dup = np.arange(0, co.n, 7)
+        twice = co.subset(np.concatenate([np.arange(co.n), dup]))
+        w_twice = np.concatenate([w.weights, w.weights[dup]])
+        w_freq = np.array(w.weights)
+        w_freq[dup] *= 2.0
+        ws_twice = WeightSet("ipw", w_twice, np.ones(twice.n))
+        ws_freq = WeightSet("ipw", w_freq, np.ones(co.n))
+        # the same partial likelihood: iterates agree up to rounding and
+        # the Cox stopping gradient (1e-9), see test_reference_relabelling
+        tau = fit_mhr(co, ws_freq).tau
+        tau_twice = fit_mhr(twice, ws_twice).tau
+        np.testing.assert_allclose(tau_twice, tau, rtol=0, atol=1e-8)
+        p_twice = stacked_pieces(twice, None, ws_twice, tau)
+        p_freq = stacked_pieces(co, None, ws_freq, tau)
+        np.testing.assert_allclose(
+            twice.n * p_twice.a_tt, co.n * p_freq.a_tt, rtol=1e-12
+        )
+        # the meat must not match: the two copies add psi_c psi_c' twice,
+        # while the one row of doubled weight has residual 2 psi_c and adds
+        # (2 psi_c)(2 psi_c)'.  Frequency weights therefore need their own
+        # meat (a resample drawn twice is not a unit of weight 2)
+        copy = p_twice.psi_c[co.n:]
+        np.testing.assert_allclose(
+            p_freq.psi_c[dup], 2.0 * copy, rtol=1e-10, atol=1e-14
+        )
+        meat_gap = co.n * p_freq.meat() - twice.n * p_twice.meat()
+        np.testing.assert_allclose(
+            meat_gap, 2.0 * copy.T @ copy, rtol=1e-10, atol=1e-14
+        )
+        assert np.min(np.diag(meat_gap)) > 0.0
+
+
 @pytest.fixture(scope="module")
 def boot_cohort():
     return random_survival_cohort(np.random.default_rng(30), n=70, j=1, p=2)
@@ -606,6 +671,19 @@ class TestWeightedPipeline:
         np.testing.assert_array_equal(
             bundle.estimate.cov_tau, bundle.bootstrap.cov_tau
         )
+
+    def test_trim_without_refit_keeps_gamma_on_kept_rows(self, pipeline_cohort):
+        bundle = fit_weighted_mhr(
+            pipeline_cohort, "ipw", trim_threshold=0.05, refit_trim=False
+        )
+        res = bundle.trim_result
+        assert res.removed.size > 0 and not res.refitted
+        full = fit_multinomial_logit(pipeline_cohort)
+        np.testing.assert_array_equal(bundle.psfit.gamma, full.gamma)
+        np.testing.assert_array_equal(bundle.psfit.probs, full.probs[res.kept])
+        np.testing.assert_array_equal(bundle.psfit.design, full.design[res.kept])
+        assert bundle.weights.n == bundle.estimate.n == res.cohort.n
+        assert np.all(np.isfinite(bundle.estimate.se))
 
     def test_trim_happens_before_fit(self, pipeline_cohort):
         bundle = fit_weighted_mhr(pipeline_cohort, "ipw", variance="none", trim_threshold=0.02)

@@ -19,6 +19,7 @@ from wcox import (
     trim,
     validate_cohort,
 )
+from wcox.propensity import _unit_weights
 
 
 def _independent_loglik(gamma_flat, x, z, j):
@@ -154,6 +155,15 @@ def test_unit_weights_all_one():
     w = compute_weights(probs, np.array([1, 0]), "unit")
     np.testing.assert_array_equal(w.weights, [1.0, 1.0])
     np.testing.assert_array_equal(w.tilt, [0.7, 0.6])
+
+
+def test_unit_weights_without_a_model_match_uniform_propensities():
+    co = random_survival_cohort(np.random.default_rng(21), n=80, j=2, p=3)
+    w = _unit_weights(co)
+    ref = compute_weights(np.full((co.n, 3), 1.0 / 3.0), co.treatment, "unit")
+    assert w.scheme == "unit" and w.att_target is None
+    np.testing.assert_array_equal(w.weights, np.ones(co.n))
+    np.testing.assert_array_equal(w.tilt, ref.tilt)
 
 
 def test_ow_extreme_unit_gets_largest_weight():
