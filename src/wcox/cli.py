@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -34,9 +35,9 @@ from .data_model import (
     factorial_treatment_labels,
     validate_cohort,
 )
-from .marginal_cox import fit_weighted_mhr
+from .marginal_cox import confidence_intervals, fit_weighted_mhr
 from .propensity import balance_table, parse_scheme, propensity_histogram
-from .simulation import ScenarioConfig, run_study, true_estimand
+from .simulation import _DESIGNS, ScenarioConfig, run_study, true_estimand
 from .weighted_km import export_km_csv, export_km_svg, km_curves
 
 __all__ = ["main"]
@@ -224,6 +225,8 @@ def _cmd_fit(args) -> int:
     variance, n_boot = _parse_variance(args.variance)
     if variance == "bootstrap" and args.seed is None:
         raise ValidationError("--seed is required with bootstrap variance")
+    if not (0.0 < args.level < 1.0):
+        raise ValidationError("confidence level must lie in (0, 1)")
     bundle = fit_weighted_mhr(
         cohort,
         scheme,
@@ -233,10 +236,14 @@ def _cmd_fit(args) -> int:
         seed=args.seed,
         trim_threshold=args.trim,
         refit_trim=not args.no_trim_refit,
-        ci_level=args.level,
     )
     est = bundle.estimate
     fitted = bundle.trim_result.cohort if bundle.trim_result else cohort
+    limits = (
+        np.full((len(est.tau), 3), np.nan)
+        if est.cov_tau is None
+        else confidence_intervals(est, args.level)
+    )
     rows = []
     for k in range(len(est.tau)):
         rows.append(
@@ -246,8 +253,8 @@ def _cmd_fit(args) -> int:
                 "tau": _fnum(est.tau[k]),
                 "hr": _fnum(est.hr[k]),
                 "se": _fnum(est.se[k]),
-                "ci_low": _fnum(est.ci_low[k]),
-                "ci_high": _fnum(est.ci_high[k]),
+                "ci_low": _fnum(limits[k, 1]),
+                "ci_high": _fnum(limits[k, 2]),
             }
         )
     out = {
@@ -257,7 +264,7 @@ def _cmd_fit(args) -> int:
         "groups": list(est.treatment_labels),
         "scheme": args.weight_scheme,
         "variance_method": est.variance_method,
-        "ci_level": est.ci_level,
+        "ci_level": args.level,
         "estimates": rows,
         "cov_tau": None
         if est.cov_tau is None
@@ -445,17 +452,7 @@ def _cmd_simulate(args) -> int:
         cells = [(base.psi, base.censoring)]
     reports = []
     for psi, cens in cells:
-        cfg = ScenarioConfig(
-            setting=base.setting,
-            psi=psi,
-            n=base.n,
-            censoring=cens,
-            replicates=base.replicates,
-            bootstrap_b=base.bootstrap_b,
-            seed=base.seed,
-            estimand_m=base.estimand_m,
-        )
-        report = run_study(cfg)
+        report = run_study(dataclasses.replace(base, psi=psi, censoring=cens))
         reports.append(report)
         sys.stdout.write(report.format_table())
     if args.out_csv:
@@ -584,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run a simulation study cell")
     sim.add_argument("--config", help="flat key=value scenario file")
-    sim.add_argument("--setting", choices=("multi3", "factorial"))
+    sim.add_argument("--setting", choices=tuple(_DESIGNS))
     sim.add_argument("--psi", type=float)
     sim.add_argument("--n", type=int)
     sim.add_argument("--censoring", type=float)
@@ -601,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     est = subs.add_parser("estimand", help="large-sample weighted estimand")
-    est.add_argument("--setting", required=True, choices=("multi3", "factorial"))
+    est.add_argument("--setting", required=True, choices=tuple(_DESIGNS))
     est.add_argument("--scheme", required=True, help="ipw, ow, or att:<index>")
     est.add_argument("--psi", type=float, required=True)
     est.add_argument("--M", type=int, default=2_000_000)

@@ -97,8 +97,8 @@ class MhrEstimate:
     """Estimated log marginal hazard ratios with optional covariance.
 
     tau[k] is the log hazard ratio of group k+1 versus the reference;
-    se / ci_low / ci_high are populated once a covariance is attached
-    (ci bounds are on the hazard-ratio scale).
+    se is populated once a covariance is attached, and
+    `confidence_intervals` gives Wald limits on the hazard-ratio scale.
     """
 
     tau: np.ndarray
@@ -111,7 +111,6 @@ class MhrEstimate:
     scheme: str | None = None
     cov_tau: np.ndarray | None = None
     variance_method: str = "none"
-    ci_level: float = 0.95
 
     @property
     def hr(self) -> np.ndarray:
@@ -123,19 +122,9 @@ class MhrEstimate:
             return np.full(self.tau.shape, np.nan)
         return np.sqrt(np.diag(self.cov_tau))
 
-    @property
-    def ci_low(self) -> np.ndarray:
-        z = norm.ppf(0.5 + self.ci_level / 2.0)
-        return np.exp(self.tau - z * self.se)
-
-    @property
-    def ci_high(self) -> np.ndarray:
-        z = norm.ppf(0.5 + self.ci_level / 2.0)
-        return np.exp(self.tau + z * self.se)
-
-    def with_covariance(self, cov_tau, method: str, ci_level=0.95) -> "MhrEstimate":
+    def with_covariance(self, cov_tau, method: str) -> "MhrEstimate":
         cov_tau = np.asarray(cov_tau, dtype=np.float64)
-        return replace(self, cov_tau=cov_tau, variance_method=method, ci_level=ci_level)
+        return replace(self, cov_tau=cov_tau, variance_method=method)
 
 
 def fit_mhr(cohort: Cohort, weights: WeightSet) -> MhrEstimate:
@@ -466,7 +455,6 @@ def fit_weighted_mhr(
     seed=None,
     trim_threshold=None,
     refit_trim=True,
-    ci_level: float = 0.95,
 ) -> FitBundle:
     """Full pipeline: propensity fit, optional trim, weights, tau, variance.
 
@@ -496,12 +484,12 @@ def fit_weighted_mhr(
         sandwich = sandwich_covariance(
             cohort, None if scheme == "unit" else psfit, weights, estimate.tau
         )
-        estimate = estimate.with_covariance(sandwich.cov_tau, "robust", ci_level)
+        estimate = estimate.with_covariance(sandwich.cov_tau, "robust")
     elif variance == "bootstrap":
         boot = bootstrap_covariance(
             cohort, scheme, n_boot, seed, att_target=att_target
         )
-        estimate = estimate.with_covariance(boot.cov_tau, "bootstrap", ci_level)
+        estimate = estimate.with_covariance(boot.cov_tau, "bootstrap")
     return FitBundle(
         estimate=estimate,
         psfit=psfit,

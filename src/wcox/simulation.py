@@ -46,8 +46,7 @@ __all__ = [
     "StudyReport",
     "gen_covariates",
     "true_propensities",
-    "gen_treatment_multi3",
-    "gen_treatment_factorial",
+    "gen_treatment",
     "gen_outcomes",
     "make_replicate",
     "calibrate_intercepts",
@@ -73,12 +72,49 @@ THETA_FACTORIAL = np.array([0.35, -0.20, 0.15])
 WEIBULL_SHAPE = 1.2
 WEIBULL_SCALE = 1.0
 _NORMAL_EQUICORR = 0.5
-_SETTINGS = ("multi3", "factorial")
+_LOADINGS = {"b": B_COEF, "c": C_COEF}
 
-# fixed seeds for the calibration Monte Carlo samples; calibration is a
-# deterministic function of (setting, psi, target) given these
+
+@dataclass(frozen=True)
+class _Design:
+    """A simulation setting: group k > 0 has the assignment logit
+    alpha[intercepts[k-1]] + psi * sign * x'v with (sign, v) = loadings[k-1]."""
+
+    labels: tuple[str, ...]
+    theta: np.ndarray
+    loadings: tuple[tuple[float, str], ...]
+    intercepts: tuple[int, ...]
+
+    def scaled_loadings(self, x: np.ndarray, psi: float) -> np.ndarray:
+        """psi * sign * x'v, (n, groups - 1), one product per vector v."""
+        u = {key: psi * (x @ _LOADINGS[key]) for key in {key for _, key in self.loadings}}
+        return np.column_stack([sign * u[key] for sign, key in self.loadings])
+
+
+_DESIGNS = {
+    "multi3": _Design(("0", "1", "2"), THETA_MULTI3, ((1.0, "b"), (-1.0, "b")), (0, 0)),
+    "factorial": _Design(factorial_treatment_labels(), THETA_FACTORIAL,
+                         ((1.0, "b"), (-1.0, "b"), (1.0, "c")), (0, 1, 2)),
+}
+
+# calibration Monte Carlo settings; the fixed seeds make calibration a
+# deterministic function of (setting, psi, target)
+_CAL_N_MC = 1_000_000
 _CAL_SEED_INTERCEPTS = 202401
 _CAL_SEED_CENSORING = 202402
+_CAL_INTERCEPT_TOL = 0.002
+_CAL_INTERCEPT_DAMPING = 0.8
+_CAL_CENSORING_TOL = 0.005
+_CAL_MAX_ITER = 200
+
+
+def _design(setting) -> _Design:
+    try:
+        return _DESIGNS[setting]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            f"unknown setting {setting!r}; expected one of {tuple(_DESIGNS)}"
+        ) from None
 
 
 def gen_covariates(n: int, rng) -> np.ndarray:
@@ -96,46 +132,32 @@ def gen_covariates(n: int, rng) -> np.ndarray:
     return np.hstack([x_norm, x_bin])
 
 
-def _assignment_logits(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:
-    n = x.shape[0]
-    if setting == "multi3":
-        alpha = float(np.asarray(alpha).reshape(()))
-        u = x @ B_COEF
-        return np.column_stack([np.zeros(n), alpha + psi * u, alpha - psi * u])
-    if setting == "factorial":
-        a = np.asarray(alpha, dtype=np.float64).reshape(3)
-        ub = x @ B_COEF
-        uc = x @ C_COEF
-        return np.column_stack(
-            [np.zeros(n), a[0] + psi * ub, a[1] - psi * ub, a[2] + psi * uc]
-        )
-    raise ValidationError(f"unknown setting {setting!r}")
-
-
-def true_propensities(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:
-    """Assignment probabilities of the data-generating process, (n, groups)."""
-    logits = _assignment_logits(setting, x, psi, alpha)
+def _softmax(offsets: np.ndarray) -> np.ndarray:
+    """Probabilities of logits (0, offsets), row by row."""
+    logits = np.column_stack([np.zeros(offsets.shape[0]), offsets])
     logits -= logits.max(axis=1, keepdims=True)
     num = np.exp(logits)
     return num / num.sum(axis=1, keepdims=True)
 
 
-def _draw_categorical(probs: np.ndarray, rng) -> np.ndarray:
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
+def true_propensities(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:
+    """Assignment probabilities of the data-generating process, (n, groups)."""
+    design = _design(setting)
+    a = np.asarray(alpha, dtype=np.float64).reshape(-1)
+    want = max(design.intercepts) + 1
+    if a.size != want:
+        raise ValidationError(f"alpha must hold {want} intercept(s), got {a.size}")
+    return _softmax(a[list(design.intercepts)] + design.scaled_loadings(x, psi))
+
+
+def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.ndarray:
+    """Draw groups from the true propensities: logits (0, a + psi b'x,
+    a - psi b'x) for multi3, (0, a0 + psi b'x, a1 - psi b'x, a2 + psi c'x)
+    for factorial, whose groups follow the (z1, z2) cell coding 0..3."""
+    rng = np.random.default_rng(rng)
+    cdf = np.cumsum(true_propensities(setting, x, psi, alpha), axis=1)
+    u = rng.random(x.shape[0])
     return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
-
-
-def gen_treatment_multi3(x: np.ndarray, psi: float, alpha: float, rng) -> np.ndarray:
-    """Three-group assignment with linear predictors (0, a + psi b'x, a - psi b'x)."""
-    rng = np.random.default_rng(rng)
-    return _draw_categorical(true_propensities("multi3", x, psi, alpha), rng)
-
-
-def gen_treatment_factorial(x: np.ndarray, psi: float, alpha, rng) -> np.ndarray:
-    """Four-cell assignment; labels follow the (z1, z2) cell coding 0..3."""
-    rng = np.random.default_rng(rng)
-    return _draw_categorical(true_propensities("factorial", x, psi, alpha), rng)
 
 
 def gen_outcomes(
@@ -161,14 +183,14 @@ def gen_outcomes(
     )
 
 
-def _theta_for(setting: str) -> np.ndarray:
-    return THETA_MULTI3 if setting == "multi3" else THETA_FACTORIAL
-
-
-def _labels_for(setting: str) -> tuple[str, ...]:
-    if setting == "multi3":
-        return ("0", "1", "2")
-    return factorial_treatment_labels()
+def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
+    """Covariates, assignment and assigned potential time, drawn in that
+    order from `rng`: the shared start of a replicate and of the censoring
+    calibration sample."""
+    x = gen_covariates(n, rng)
+    z = gen_treatment(setting, x, psi, alpha, rng)
+    t_all = gen_outcomes(x, _design(setting).theta, rng=rng)
+    return x, z, t_all[np.arange(n), z]
 
 
 def make_replicate(
@@ -179,14 +201,9 @@ def make_replicate(
     Draw order is fixed (covariates, assignment, outcomes, censoring) so a
     replicate is a pure function of the generator state.
     """
+    design = _design(setting)
     rng = np.random.default_rng(rng)
-    x = gen_covariates(n, rng)
-    if setting == "multi3":
-        z = gen_treatment_multi3(x, psi, alpha, rng)
-    else:
-        z = gen_treatment_factorial(x, psi, alpha, rng)
-    t_all = gen_outcomes(x, _theta_for(setting), rng=rng)
-    t_assigned = t_all[np.arange(n), z]
+    x, z, t_assigned = _draw_assigned(setting, psi, alpha, n, rng)
     c = rng.exponential(1.0, n) / lambda_c if lambda_c > 0 else np.full(n, np.inf)
     y = np.minimum(t_assigned, c)
     delta = (t_assigned <= c).astype(np.int64)
@@ -195,87 +212,69 @@ def make_replicate(
         event=_readonly(delta),
         treatment=_readonly(z),
         covariates=_readonly(x),
-        treatment_labels=_labels_for(setting),
+        treatment_labels=design.labels,
     )
 
 
-def treatment_prevalences(setting: str, psi: float, alpha, *, n_mc=1_000_000,
+def treatment_prevalences(setting: str, psi: float, alpha, *, n_mc=_CAL_N_MC,
                           seed=_CAL_SEED_INTERCEPTS) -> np.ndarray:
     """Expected group shares E[e_j(X)] under the true assignment model."""
     x = gen_covariates(n_mc, np.random.default_rng(seed))
     return true_propensities(setting, x, psi, alpha).mean(axis=0)
 
 
-def calibrate_intercepts(
-    setting: str,
-    psi: float,
-    *,
-    n_mc: int = 1_000_000,
-    tol: float = 0.002,
-    max_iter: int = 200,
-    damping: float = 0.8,
-    seed: int = _CAL_SEED_INTERCEPTS,
-):
-    """Assignment intercepts hitting the target prevalences.
+def calibrate_intercepts(setting: str, psi: float):
+    """Assignment intercepts hitting equal group shares.
 
-    Targets are equal shares: (1/3, 1/3, 1/3) for the three-group design
-    (one shared intercept) and (1/4, ..., 1/4) for the factorial design
-    (three intercepts).  Damped fixed point on the log prevalence
-    mismatch, evaluated on one fixed Monte Carlo covariate sample, until
-    every group share is within `tol` of its target.
+    Targets are (1/3, 1/3, 1/3) for the three-group design (one shared
+    intercept, returned as a float) and (1/4, ..., 1/4) for the factorial
+    design (three intercepts).  Damped fixed point (damping 0.8) on the
+    log prevalence mismatch, averaged over the groups that share an
+    intercept, evaluated on one fixed sample of 1e6 covariate rows, until
+    every group share is within 0.002 of its target (at most 200 steps).
     """
-    if setting not in _SETTINGS:
-        raise ValidationError(f"unknown setting {setting!r}")
+    design = _design(setting)
     if psi <= 0:
         raise ValidationError("psi must be positive")
-    x = gen_covariates(n_mc, np.random.default_rng(seed))
-    groups = 3 if setting == "multi3" else 4
-    target = 1.0 / groups
-    alpha = 0.0 if setting == "multi3" else np.zeros(3)
-    for _ in range(max_iter):
-        prev = true_propensities(setting, x, psi, alpha).mean(axis=0)
-        if np.max(np.abs(prev - target)) <= tol:
-            return alpha
+    # only the projections enter the loop; dropping x keeps the peak memory
+    # of calibration at that of calibrate_censoring
+    x = gen_covariates(_CAL_N_MC, np.random.default_rng(_CAL_SEED_INTERCEPTS))
+    scaled = design.scaled_loadings(x, psi)
+    del x
+    owner = np.asarray(design.intercepts)
+    sharing = np.bincount(owner)
+    target = 1.0 / len(design.labels)
+    alpha = np.zeros(sharing.size)
+    for _ in range(_CAL_MAX_ITER):
+        prev = _softmax(alpha[owner] + scaled).mean(axis=0)
+        if np.max(np.abs(prev - target)) <= _CAL_INTERCEPT_TOL:
+            return float(alpha[0]) if alpha.size == 1 else alpha
         err = np.log(target / prev[1:])
-        if setting == "multi3":
-            alpha = alpha + damping * float(err.mean())
-        else:
-            alpha = alpha + damping * err
+        alpha = alpha + _CAL_INTERCEPT_DAMPING * (
+            np.bincount(owner, weights=err) / sharing
+        )
     raise ConvergenceError(
-        f"intercept calibration did not converge within {max_iter} iterations"
+        f"intercept calibration did not converge within {_CAL_MAX_ITER} iterations"
     )
 
 
-def calibrate_censoring(
-    setting: str,
-    psi: float,
-    alpha,
-    target: float,
-    *,
-    n_mc: int = 1_000_000,
-    tol: float = 0.005,
-    max_iter: int = 200,
-    seed: int = _CAL_SEED_CENSORING,
-) -> float:
+def calibrate_censoring(setting: str, psi: float, alpha, target: float) -> float:
     """Exponential censoring rate giving the target censored fraction.
 
-    Censoring times are C = E / lambda_c with E ~ Exp(1) drawn once, so
-    the censored fraction mean{E/T < lambda_c} is a monotone step
-    function of lambda_c and bisection converges deterministically.
+    Censoring times are C = E / lambda_c with E ~ Exp(1) drawn once, after
+    the same covariate, assignment and outcome draws as `make_replicate`,
+    on a fixed sample of 1e6 units; the censored fraction mean{E/T <
+    lambda_c} is then a monotone step function of lambda_c, and bisection
+    converges deterministically to within 0.005 of the target.
     """
+    _design(setting)
     if not (0.0 <= target < 1.0):
         raise ValidationError("target censoring must lie in [0, 1)")
     if target == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    x = gen_covariates(n_mc, rng)
-    if setting == "multi3":
-        z = gen_treatment_multi3(x, psi, alpha, rng)
-    else:
-        z = gen_treatment_factorial(x, psi, alpha, rng)
-    t_all = gen_outcomes(x, _theta_for(setting), rng=rng)
-    t_assigned = t_all[np.arange(n_mc), z]
-    ratio = rng.exponential(1.0, n_mc) / t_assigned
+    rng = np.random.default_rng(_CAL_SEED_CENSORING)
+    _, _, t_assigned = _draw_assigned(setting, psi, alpha, _CAL_N_MC, rng)
+    ratio = rng.exponential(1.0, _CAL_N_MC) / t_assigned
 
     def frac(lam):
         return float(np.mean(ratio < lam))
@@ -287,17 +286,17 @@ def calibrate_censoring(
         hi *= 2.0
     else:
         raise ConvergenceError("could not bracket the censoring rate")
-    for _ in range(max_iter):
+    for _ in range(_CAL_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f = frac(mid)
-        if abs(f - target) <= tol:
+        if abs(f - target) <= _CAL_CENSORING_TOL:
             return mid
         if f < target:
             lo = mid
         else:
             hi = mid
     raise ConvergenceError(
-        f"censoring calibration did not converge within {max_iter} iterations"
+        f"censoring calibration did not converge within {_CAL_MAX_ITER} iterations"
     )
 
 
@@ -362,15 +361,14 @@ def true_estimand(
     pooled stacked times, and tau* comes from the weighted marginal Cox
     fit on that sample.
     """
-    if setting not in _SETTINGS:
-        raise ValidationError(f"unknown setting {setting!r}")
+    design = _design(setting)
     if m < 1_000_000:
         raise ValidationError("M too small: need at least 1e6 units")
     if scheme not in ("ipw", "ow", "att"):
         raise ValidationError(f"estimand not defined for scheme {scheme!r}")
     rng = np.random.default_rng(seed)
     x = gen_covariates(m, rng)
-    t_all = gen_outcomes(x, _theta_for(setting), rng=rng)
+    t_all = gen_outcomes(x, design.theta, rng=rng)
     arms = t_all.shape[1]
 
     if scheme == "ipw":
@@ -397,7 +395,7 @@ def true_estimand(
         event=_readonly(event),
         treatment=_readonly(z_rec),
         covariates=_readonly(np.empty((arms * m, 0))),
-        treatment_labels=_labels_for(setting),
+        treatment_labels=design.labels,
     )
     wset = WeightSet(scheme=scheme, weights=_readonly(w_rec), tilt=_readonly(w_rec),
                      att_target=None if att_target is None else int(att_target))
@@ -428,11 +426,9 @@ class ScenarioConfig:
     estimand_m: int = 2_000_000
 
     def __post_init__(self):
-        if self.setting not in _SETTINGS:
-            raise ValidationError(f"setting must be one of {_SETTINGS}")
+        groups = len(_design(self.setting).labels)
         if not (self.psi > 0):
             raise ValidationError("psi must be positive")
-        groups = 3 if self.setting == "multi3" else 4
         if self.n < 4 * groups:
             raise ValidationError(f"n must be at least {4 * groups}")
         if not (0.0 <= self.censoring < 1.0):
@@ -701,7 +697,7 @@ def run_study(
         raise StudyError("study aborted: no replicate succeeded")
 
     j = targets["ipw"].shape[0]
-    labels = _labels_for(config.setting)
+    labels = _design(config.setting).labels
     z95 = norm.ppf(0.975)
     rows = []
     for method in _METHODS:

@@ -33,14 +33,10 @@ from wcox import (
     EstimandResult,
     ScenarioConfig,
     balance_table,
-    calibrate_censoring,
-    calibrate_intercepts,
     compute_weights,
-    empirical_event_rates,
     evaluate_score,
     fit_mhr,
     fit_multinomial_logit,
-    make_replicate,
     multinomial_probs,
     run_study,
     sandwich_covariance,
@@ -48,6 +44,12 @@ from wcox import (
     weighted_km,
 )
 from wcox.cli import main
+from wcox.simulation import (
+    calibrate_censoring,
+    calibrate_intercepts,
+    empirical_event_rates,
+    make_replicate,
+)
 
 pytestmark = pytest.mark.slow
 

@@ -249,6 +249,32 @@ class TestFit:
         for est in out["estimates"]:
             assert est["se"] > 0
 
+    def test_level_is_reported_without_a_variance(self, four_unit_csv, capsys):
+        code = main(
+            ["fit", four_unit_csv, "--time", "t", "--event", "d", "--treatment", "z",
+             "--weight-scheme", "unit", "--variance", "none", "--level", "0.9"]
+        )
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ci_level"] == 0.9
+        (est,) = out["estimates"]
+        assert est["ci_low"] is None and est["ci_high"] is None
+
+    @pytest.mark.parametrize("variance", ["robust", "bootstrap:5", "none"])
+    @pytest.mark.parametrize("level", ["0", "1", "1.5"])
+    def test_level_outside_unit_interval_exits_two(
+        self, cohort_csv, capsys, variance, level
+    ):
+        code = main(
+            ["fit", cohort_csv, "--time", "t", "--event", "d", "--treatment", "z",
+             "--covariates", "x1,x2,x3", "--variance", variance, "--seed", "1",
+             "--level", level]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "confidence level must lie in (0, 1)" in captured.err
+
 
 class TestLoadingErrors:
     def test_missing_column_names_the_column(self, four_unit_csv, capsys):

@@ -288,8 +288,8 @@ class TestEstimateApi:
             np.exp(0.417 + np.array([-1, 1]) * 1.959963984540054 * 0.065),
             rtol=1e-12,
         )
-        np.testing.assert_allclose(est.ci_low, [lo])
-        np.testing.assert_allclose(est.ci_high, [hi])
+        # the default level is 95%
+        np.testing.assert_allclose(confidence_intervals(est)[0, 1:], [lo, hi])
 
 
 def _brute_lin_wei_cov(cohort, weights, tau):
@@ -651,12 +651,15 @@ class TestWeightedPipeline:
         assert bundle.estimate.variance_method == "robust"
 
     def test_ipw_robust_pipeline(self, pipeline_cohort):
-        bundle = fit_weighted_mhr(pipeline_cohort, "ipw", variance="robust", ci_level=0.9)
+        bundle = fit_weighted_mhr(pipeline_cohort, "ipw", variance="robust")
         assert bundle.psfit is not None
         np.testing.assert_array_equal(
             bundle.estimate.cov_tau, bundle.sandwich.cov_tau
         )
-        assert bundle.estimate.ci_level == 0.9
+        _, lo, hi = confidence_intervals(bundle.estimate, 0.9).T
+        np.testing.assert_allclose(
+            np.log(hi / lo) / 2.0, 1.6448536269514722 * bundle.estimate.se, rtol=1e-12
+        )
         direct = fit_mhr(
             pipeline_cohort, compute_weights(bundle.psfit, pipeline_cohort.treatment, "ipw")
         )

@@ -1,7 +1,9 @@
 """Data-generating process, calibration, estimands, and the study harness."""
 
+import importlib.util
 import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,20 +13,23 @@ from wcox import (
     ScenarioConfig,
     StudyError,
     ValidationError,
+    run_study,
+    true_estimand,
+)
+from wcox.simulation import (
+    B_COEF,
+    C_COEF,
+    _worker_count,
     calibrate_censoring,
     calibrate_intercepts,
     empirical_event_rates,
     gen_covariates,
     gen_outcomes,
-    gen_treatment_factorial,
-    gen_treatment_multi3,
+    gen_treatment,
     make_replicate,
-    run_study,
     treatment_prevalences,
-    true_estimand,
     true_propensities,
 )
-from wcox.simulation import B_COEF, _worker_count
 
 
 @pytest.fixture(scope="module")
@@ -77,20 +82,41 @@ class TestPropensities:
             true_propensities("multi3", x, psi, alpha), ref, rtol=1e-12
         )
 
+    def test_factorial_hand_row(self):
+        x = gen_covariates(3, np.random.default_rng(3))
+        alpha, psi = (0.3, -0.1, 0.2), 1.5
+        ub, uc = x @ B_COEF, x @ C_COEF
+        logits = np.column_stack(
+            [np.zeros(3), alpha[0] + psi * ub, alpha[1] - psi * ub, alpha[2] + psi * uc]
+        )
+        ref = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            true_propensities("factorial", x, psi, alpha), ref, rtol=1e-12
+        )
+
     def test_unknown_setting(self):
         x = np.zeros((2, 6))
         with pytest.raises(ValidationError, match="unknown setting"):
             true_propensities("crossover", x, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "setting, alpha", [("multi3", (0.1, 0.2, 0.3)), ("factorial", 0.1),
+                           ("factorial", (0.1, 0.2))]
+    )
+    def test_wrong_intercept_count(self, setting, alpha):
+        x = np.zeros((2, 6))
+        with pytest.raises(ValidationError, match="intercept"):
+            gen_treatment(setting, x, 1.0, alpha, np.random.default_rng(0))
+
     def test_assignment_frequencies_match_probabilities(self):
         x = gen_covariates(120_000, np.random.default_rng(4))
-        z = gen_treatment_multi3(x, 1.0, -0.2, np.random.default_rng(14))
+        z = gen_treatment("multi3", x, 1.0, -0.2, np.random.default_rng(14))
         p = true_propensities("multi3", x, 1.0, -0.2)
         np.testing.assert_allclose(
             np.bincount(z, minlength=3) / z.size, p.mean(axis=0), atol=0.005
         )
-        z4 = gen_treatment_factorial(
-            x, 1.0, (-0.2, -0.3, -0.1), np.random.default_rng(15)
+        z4 = gen_treatment(
+            "factorial", x, 1.0, (-0.2, -0.3, -0.1), np.random.default_rng(15)
         )
         p4 = true_propensities("factorial", x, 1.0, (-0.2, -0.3, -0.1))
         np.testing.assert_allclose(
@@ -205,6 +231,49 @@ class TestReplicates:
         )
         assert co.treatment_labels == ("(0,0)", "(1,0)", "(0,1)", "(1,1)")
         assert set(np.unique(co.treatment)) == {0, 1, 2, 3}
+
+
+_UNKNOWN_SETTING_CALLS = {
+    "gen_treatment": lambda s: gen_treatment(
+        s, np.zeros((2, 6)), 1.0, 0.0, np.random.default_rng(0)
+    ),
+    "true_propensities": lambda s: true_propensities(s, np.zeros((2, 6)), 1.0, 0.0),
+    "make_replicate": lambda s: make_replicate(
+        s, 1.0, 0.0, 0.0, 20, np.random.default_rng(0)
+    ),
+    "calibrate_intercepts": lambda s: calibrate_intercepts(s, 1.0),
+    "calibrate_censoring": lambda s: calibrate_censoring(s, 1.0, 0.0, 0.25),
+    "calibrate_censoring_zero_target": lambda s: calibrate_censoring(s, 1.0, 0.0, 0.0),
+    "treatment_prevalences": lambda s: treatment_prevalences(s, 1.0, 0.0, n_mc=10),
+    "empirical_event_rates": lambda s: empirical_event_rates(s, 1.0, 0.0, 0.0, n=20),
+    "true_estimand": lambda s: true_estimand(s, "ipw", 1.0),
+    "ScenarioConfig": lambda s: ScenarioConfig(setting=s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNKNOWN_SETTING_CALLS))
+def test_unknown_setting_is_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="unknown setting 'crossover'"):
+        _UNKNOWN_SETTING_CALLS[entry]("crossover")
+
+
+def _benchmark_study_call():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "study_call.py"
+    spec = importlib.util.spec_from_file_location("study_call", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scheme", ["ipw", "ow"])
+def test_benchmark_estimand_constants_are_current(scheme):
+    # the study-boot benchmark passes these tau* and t0 in as fixed inputs;
+    # a change to the data-generating process must not leave them stale
+    bench = _benchmark_study_call()
+    res = true_estimand("factorial", scheme, 2.0, m=1_000_000, seed=0)
+    assert tuple(res.tau_star.tolist()) == bench.ESTIMANDS[scheme]
+    assert res.t0 == bench.ESTIMAND_T0
 
 
 class TestEstimandValidation:
