@@ -86,8 +86,11 @@ class _Design:
     intercepts: tuple[int, ...]
 
     def scaled_loadings(self, x: np.ndarray, psi: float) -> np.ndarray:
-        """psi * sign * x'v, (n, groups - 1), one product per vector v."""
-        u = {key: psi * (x @ _LOADINGS[key]) for key in {key for _, key in self.loadings}}
+        """psi * sign * x'v, (n, groups - 1): one matrix-vector product per v,
+        signed afterwards, so each column is +-psi v'x bit for bit (a
+        matrix-matrix product may sum in another order)."""
+        keys = {key for _, key in self.loadings}
+        u = {key: psi * (x @ _LOADINGS[key]) for key in keys}
         return np.column_stack([sign * u[key] for sign, key in self.loadings])
 
 
@@ -261,11 +264,10 @@ def calibrate_intercepts(setting: str, psi: float):
 def calibrate_censoring(setting: str, psi: float, alpha, target: float) -> float:
     """Exponential censoring rate giving the target censored fraction.
 
-    Censoring times are C = E / lambda_c with E ~ Exp(1) drawn once, after
-    the same covariate, assignment and outcome draws as `make_replicate`,
-    on a fixed sample of 1e6 units; the censored fraction mean{E/T <
-    lambda_c} is then a monotone step function of lambda_c, and bisection
-    converges deterministically to within 0.005 of the target.
+    On 1e6 units drawn as `make_replicate` draws them, C = E / lambda_c
+    with E ~ Exp(1) drawn once, so the censored fraction mean{E/T <
+    lambda_c} is a monotone step function of lambda_c and bisection
+    converges deterministically, to within 0.005 of the target.
     """
     _design(setting)
     if not (0.0 <= target < 1.0):
