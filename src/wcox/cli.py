@@ -36,7 +36,7 @@ from .data_model import (
     validate_cohort,
 )
 from .marginal_cox import confidence_intervals, fit_weighted_mhr
-from .propensity import balance_table, parse_scheme, propensity_histogram
+from .propensity import _weigh, balance_table, parse_scheme, propensity_histogram
 from .simulation import _DESIGNS, ScenarioConfig, run_study, true_estimand
 from .weighted_km import export_km_csv, export_km_svg, km_curves
 
@@ -238,7 +238,6 @@ def _cmd_fit(args) -> int:
         refit_trim=not args.no_trim_refit,
     )
     est = bundle.estimate
-    fitted = bundle.trim_result.cohort if bundle.trim_result else cohort
     limits = (
         np.full((len(est.tau), 3), np.nan)
         if est.cov_tau is None
@@ -285,7 +284,7 @@ def _cmd_fit(args) -> int:
             "threshold": bundle.trim_result.threshold,
             "n_removed": int(bundle.trim_result.removed.size),
             "removed_by_group": bundle.trim_result.removed_by_group.tolist(),
-            "n_after": fitted.n,
+            "n_after": est.n,
             "refitted": bundle.trim_result.refitted,
         },
         "bootstrap": None
@@ -305,16 +304,10 @@ def _cmd_fit(args) -> int:
 def _cmd_km(args) -> int:
     cohort, _ = _load_cohort(args)
     scheme, att_target = _resolve_scheme(args, cohort)
-    bundle = fit_weighted_mhr(
-        cohort,
-        scheme,
-        att_target=att_target,
-        variance="none",
-        trim_threshold=args.trim,
-        refit_trim=not args.no_trim_refit,
+    fitted, _, weights, _ = _weigh(
+        cohort, scheme, att_target, args.trim, not args.no_trim_refit
     )
-    fitted = bundle.trim_result.cohort if bundle.trim_result else cohort
-    curves = km_curves(fitted, bundle.weights)
+    curves = km_curves(fitted, weights)
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             export_km_csv(curves, fh)
@@ -332,16 +325,10 @@ def _cmd_balance(args) -> int:
     if cohort.n_covariates == 0:
         raise ValidationError("balance diagnostics need --covariates")
     scheme, att_target = _resolve_scheme(args, cohort)
-    bundle = fit_weighted_mhr(
-        cohort,
-        scheme,
-        att_target=att_target,
-        variance="none",
-        trim_threshold=args.trim,
-        refit_trim=not args.no_trim_refit,
+    fitted, psfit, weights, _ = _weigh(
+        cohort, scheme, att_target, args.trim, not args.no_trim_refit
     )
-    fitted = bundle.trim_result.cohort if bundle.trim_result else cohort
-    report = balance_table(fitted, bundle.weights, cov_names or None)
+    report = balance_table(fitted, weights, cov_names or None)
     lines = ["covariate,group_a,group_b,smd_unweighted,smd_weighted"]
     for row in report.to_rows():
         lines.append(
@@ -354,9 +341,9 @@ def _cmd_balance(args) -> int:
     else:
         sys.stdout.write(content)
     if args.out_histogram:
-        if bundle.psfit is None:
+        if psfit is None:
             raise ValidationError("propensity histogram needs a fitted model")
-        counts, edges = propensity_histogram(bundle.psfit, fitted.treatment)
+        counts, edges = propensity_histogram(psfit, fitted.treatment)
         hl = ["component,group,bin_low,bin_high,count"]
         g = counts.shape[0]
         for comp in range(g):

@@ -30,11 +30,9 @@ from .data_model import (
 from .propensity import (
     PropensityFit,
     WeightSet,
-    _unit_weights,
-    compute_weights,
-    fit_multinomial_logit,
+    _check_scheme,
+    _weigh,
     multinomial_information,
-    trim as trim_cohort,
 )
 
 __all__ = [
@@ -355,11 +353,14 @@ def bootstrap_covariance(
 ) -> BootstrapResult:
     """Resample units with replacement; refit propensities and tau each time.
 
+    Each replicate is the untrimmed pipeline on the resample: the weighting
+    stage, then `fit_mhr`.  An unknown scheme or att target raises
+    ValidationError before any resample is drawn.
     Replicates where a treatment group disappears, a group loses all its
     events, or either fit fails are dropped and counted by the stage that
-    stopped them: "missing_group", "propensity" (the propensity fit and the
-    weights) or "cox" (the tau fit).  More than `max_drop_fraction` dropped
-    raises StudyError ("bootstrap unstable").
+    stopped them: "missing_group", "propensity" (the weighting stage) or
+    "cox" (the tau fit).  More than `max_drop_fraction` dropped raises
+    StudyError ("bootstrap unstable").
     The covariance is the empirical covariance (ddof=1) of the retained
     tau draws.  Fully deterministic given (cohort, scheme, n_boot, seed).
     """
@@ -369,6 +370,7 @@ def bootstrap_covariance(
         raise ValidationError("bootstrap requires a seed")
     j = cohort.n_treatments
     n = cohort.n
+    _check_scheme(scheme, att_target, j + 1)
     children = np.random.SeedSequence(seed).spawn(n_boot)
     draws = []
     reasons: dict[str, int] = {}
@@ -381,11 +383,7 @@ def bootstrap_covariance(
             reasons["missing_group"] = reasons.get("missing_group", 0) + 1
             continue
         try:
-            if scheme == "unit":
-                w = _unit_weights(sub)
-            else:
-                ps = fit_multinomial_logit(sub)
-                w = compute_weights(ps, sub.treatment, scheme, att_target)
+            _, _, w, _ = _weigh(sub, scheme, att_target)
         except (ConvergenceError, ValidationError):
             reasons["propensity"] = reasons.get("propensity", 0) + 1
             continue
@@ -465,18 +463,9 @@ def fit_weighted_mhr(
     """
     if variance not in ("robust", "bootstrap", "none"):
         raise ValidationError(f"unknown variance method {variance!r}")
-    psfit = None
-    trim_result = None
-    if scheme != "unit" or trim_threshold is not None:
-        psfit = fit_multinomial_logit(cohort)
-    if trim_threshold is not None:
-        trim_result = trim_cohort(cohort, psfit, trim_threshold, refit=refit_trim)
-        cohort = trim_result.cohort
-        psfit = trim_result.fit
-    if scheme == "unit":
-        weights = _unit_weights(cohort)
-    else:
-        weights = compute_weights(psfit, cohort.treatment, scheme, att_target)
+    cohort, psfit, weights, trim_result = _weigh(
+        cohort, scheme, att_target, trim_threshold, refit_trim
+    )
     estimate = fit_mhr(cohort, weights)
     sandwich = None
     boot = None

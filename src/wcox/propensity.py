@@ -37,8 +37,6 @@ __all__ = [
     "propensity_histogram",
 ]
 
-SCHEMES = ("ipw", "att", "ow", "unit")
-
 
 def _design(covariates: np.ndarray) -> np.ndarray:
     """Covariate matrix with an intercept column prepended."""
@@ -239,6 +237,30 @@ def parse_scheme(text: str) -> tuple[str, str | None]:
     return head, None
 
 
+def _check_scheme(scheme: str, att_target, groups: int) -> None:
+    """Reject an unknown scheme, and an att target outside 0..groups-1."""
+    if scheme not in ("ipw", "att", "ow", "unit"):
+        raise ValidationError(f"unknown weighting scheme {scheme!r}")
+    if scheme == "att" and (att_target is None or not (0 <= int(att_target) < groups)):
+        raise ValidationError("att scheme needs a valid target group index")
+
+
+def _tilt(scheme: str, n: int, probs, att_target) -> np.ndarray:
+    """The numerator h(X) of the weight h / e_Z for n units: 1 for ipw,
+    e_target for att and the harmonic term (sum_k 1/e_k)^-1 for ow.
+
+    Only att and ow read `probs`, shape (n, J+1).  The caller has checked
+    the scheme and the att target.
+    """
+    if scheme == "ipw":
+        return np.ones(n)
+    if scheme == "att":
+        return probs[:, int(att_target)].copy()
+    if np.any(probs == 0.0):
+        raise ValidationError("overlap weights need all propensities positive")
+    return 1.0 / (1.0 / probs).sum(axis=1)
+
+
 def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> WeightSet:
     """Balancing weights for the requested target population.
 
@@ -271,21 +293,11 @@ def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> We
             f"rows {rows[:10].tolist()}"
         )
 
-    if scheme == "ipw":
-        tilt = np.ones(n)
-    elif scheme == "att":
-        if att_target is None or not (0 <= int(att_target) < g):
-            raise ValidationError("att scheme needs a valid target group index")
-        tilt = probs[:, int(att_target)].copy()
-    elif scheme == "ow":
-        if np.any(probs == 0.0):
-            raise ValidationError("overlap weights need all propensities positive")
-        tilt = 1.0 / (1.0 / probs).sum(axis=1)
-    elif scheme == "unit":
+    _check_scheme(scheme, att_target, g)
+    if scheme == "unit":
         tilt = e_assigned.copy()
     else:
-        raise ValidationError(f"unknown weighting scheme {scheme!r}")
-
+        tilt = _tilt(scheme, n, probs, att_target)
     weights = tilt / e_assigned
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValidationError("weights must come out finite and positive")
@@ -359,6 +371,29 @@ def trim(cohort: Cohort, fit: PropensityFit, threshold: float, refit=True) -> Tr
         )
     return TrimResult(trimmed, new_fit, float(threshold), kept, removed,
                       removed_by_group, refitted=bool(refit))
+
+
+def _weigh(cohort: Cohort, scheme: str, att_target=None, trim_threshold=None,
+           refit_trim=True):
+    """The weighting stage: propensity fit, optional trim, then weights.
+
+    The propensity model is fitted unless the scheme is unit and nothing
+    is trimmed.  The scheme and the att target are checked before any fit.
+    Returns (cohort after the trim, PropensityFit or None, WeightSet,
+    TrimResult or None).
+    """
+    _check_scheme(scheme, att_target, cohort.n_treatments + 1)
+    fit = trimmed = None
+    if scheme != "unit" or trim_threshold is not None:
+        fit = fit_multinomial_logit(cohort)
+    if trim_threshold is not None:
+        trimmed = trim(cohort, fit, trim_threshold, refit=refit_trim)
+        cohort, fit = trimmed.cohort, trimmed.fit
+    if scheme == "unit":
+        weights = _unit_weights(cohort)
+    else:
+        weights = compute_weights(fit, cohort.treatment, scheme, att_target)
+    return cohort, fit, weights, trimmed
 
 
 def _weighted_moments(x, w):

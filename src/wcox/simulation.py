@@ -31,7 +31,7 @@ from .data_model import (
     factorial_treatment_labels,
 )
 from .marginal_cox import bootstrap_covariance, fit_mhr, sandwich_covariance
-from .propensity import WeightSet, compute_weights, fit_multinomial_logit
+from .propensity import _tilt, compute_weights, fit_multinomial_logit
 
 __all__ = [
     "B_COEF",
@@ -368,45 +368,31 @@ def true_estimand(
         raise ValidationError("M too small: need at least 1e6 units")
     if scheme not in ("ipw", "ow", "att"):
         raise ValidationError(f"estimand not defined for scheme {scheme!r}")
+    arms = len(design.labels)
+    if scheme == "att" and (att_target is None or not (0 <= int(att_target) < arms)):
+        raise ValidationError("att estimand needs a valid target group")
     rng = np.random.default_rng(seed)
     x = gen_covariates(m, rng)
     t_all = gen_outcomes(x, design.theta, rng=rng)
-    arms = t_all.shape[1]
 
-    if scheme == "ipw":
-        h = np.ones(m)
-    else:
+    probs = None
+    if scheme != "ipw":
         if alpha is None:
             alpha = calibrate_intercepts(setting, psi)
         probs = true_propensities(setting, x, psi, alpha)
-        if scheme == "ow":
-            h = 1.0 / (1.0 / probs).sum(axis=1)
-        else:
-            if att_target is None or not (0 <= int(att_target) < arms):
-                raise ValidationError("att estimand needs a valid target group")
-            h = probs[:, int(att_target)]
+    h = _tilt(scheme, m, probs, att_target)
 
     times = np.concatenate([t_all[:, z] for z in range(arms)])
     t0 = float(np.quantile(times, 0.999))
     event = (times <= t0).astype(np.int64)
     y = np.minimum(times, t0)
     z_rec = np.repeat(np.arange(arms, dtype=np.int64), m)
-    w_rec = np.tile(h, arms)
-    cohort = Cohort(
-        time=_readonly(y),
-        event=_readonly(event),
-        treatment=_readonly(z_rec),
-        covariates=_readonly(np.empty((arms * m, 0))),
-        treatment_labels=design.labels,
-    )
-    wset = WeightSet(scheme=scheme, weights=_readonly(w_rec), tilt=_readonly(w_rec),
-                     att_target=None if att_target is None else int(att_target))
-    est = fit_mhr(cohort, wset)
+    core = fit_cox(y, event, _indicators(z_rec, arms - 1), np.tile(h, arms))
     return EstimandResult(
         setting=setting,
         scheme=scheme,
         psi=float(psi),
-        tau_star=est.tau,
+        tau_star=core.beta,
         m=int(m),
         seed=seed,
         t0=t0,

@@ -47,6 +47,19 @@ def cohort_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def no_events_in_group_2_csv(tmp_path_factory):
+    co = random_survival_cohort(np.random.default_rng(62), n=200, j=2, p=3)
+    event = np.where(co.treatment == 2, 0, co.event)
+    path = tmp_path_factory.mktemp("data") / "no_events.csv"
+    rows = [
+        (co.time[i], event[i], co.treatment[i], *co.covariates[i])
+        for i in range(co.n)
+    ]
+    _write_csv(path, ["t", "d", "z", "x1", "x2", "x3"], rows)
+    return str(path)
+
+
 @pytest.fixture()
 def factorial_csv(tmp_path):
     rng = np.random.default_rng(61)
@@ -371,6 +384,19 @@ class TestKm:
         assert "cumulative risk" in out_svg.read_text()
 
 
+    def test_group_without_events_needs_no_cox_fit(
+        self, no_events_in_group_2_csv, capsys
+    ):
+        flags = [no_events_in_group_2_csv, "--time", "t", "--event", "d",
+                 "--treatment", "z", "--covariates", "x1,x2,x3"]
+        assert main(["km", *flags]) == 0
+        out = capsys.readouterr().out
+        groups = {line.split(",")[0] for line in out.partition("{")[0].splitlines()[1:]}
+        assert groups == {"0", "1", "2"}
+        assert main(["fit", *flags]) == 3
+        assert "no observed events in group(s) ['2']" in capsys.readouterr().err
+
+
 class TestBalance:
     def test_stdout_table_and_summary(self, cohort_csv, capsys):
         code = main(
@@ -416,6 +442,17 @@ class TestBalance:
         assert sum(sizes.values()) == 120
         for (comp, g), total in by_pair.items():
             assert total == sizes[g]
+
+    def test_group_without_events_needs_no_cox_fit(
+        self, no_events_in_group_2_csv, capsys
+    ):
+        code = main(
+            ["balance", no_events_in_group_2_csv, "--time", "t", "--event", "d",
+             "--treatment", "z", "--covariates", "x1,x2,x3", "--weight-scheme", "ow"]
+        )
+        assert code == 0
+        head = capsys.readouterr().out.partition("{")[0]
+        assert len(head.strip().split("\n")) == 1 + 9
 
 
 def _fake_estimand(setting, scheme, psi, m=2_000_000, seed=0, *, alpha=None,

@@ -8,6 +8,7 @@ from scipy.optimize import brentq, minimize
 
 from conftest import brute_partial_loglik, brute_partial_score, random_survival_cohort
 from wcox import (
+    Cohort,
     ConvergenceError,
     MhrEstimate,
     StudyError,
@@ -620,6 +621,24 @@ class TestBootstrap:
         b = bootstrap_covariance(co, "ow", 20, 11, max_drop_fraction=0.95)
         assert b.drop_reasons == {"propensity": len(messages)}
 
+    @pytest.mark.parametrize(
+        "scheme, target, message",
+        [
+            ("matching", None, "unknown weighting scheme 'matching'"),
+            ("att", None, "att scheme needs a valid target group index"),
+            ("att", 2, "att scheme needs a valid target group index"),
+        ],
+    )
+    def test_bad_scheme_is_rejected_before_resampling(
+        self, boot_cohort, monkeypatch, scheme, target, message
+    ):
+        def resample(self, idx):
+            raise AssertionError("resampled before the scheme was checked")
+
+        monkeypatch.setattr(Cohort, "subset", resample)
+        with pytest.raises(ValidationError, match=message):
+            bootstrap_covariance(boot_cohort, scheme, 50, 0, att_target=target)
+
     def test_unstable_bootstrap_raises(self):
         t = np.arange(1.0, 9.0)
         d = np.ones(8, dtype=int)
@@ -674,6 +693,26 @@ class TestWeightedPipeline:
         np.testing.assert_array_equal(
             bundle.estimate.cov_tau, bundle.bootstrap.cov_tau
         )
+
+    @pytest.mark.parametrize(
+        "scheme, target", [("ipw", None), ("ow", None), ("att", 1), ("unit", None)]
+    )
+    def test_each_bootstrap_draw_is_the_pipeline_on_its_resample(
+        self, pipeline_cohort, scheme, target
+    ):
+        co = pipeline_cohort
+        boot = bootstrap_covariance(co, scheme, 6, 17, att_target=target)
+        assert boot.n_dropped == 0
+        expected = [
+            fit_weighted_mhr(
+                co.subset(np.random.default_rng(child).integers(0, co.n, size=co.n)),
+                scheme,
+                att_target=target,
+                variance="none",
+            ).estimate.tau
+            for child in np.random.SeedSequence(17).spawn(6)
+        ]
+        np.testing.assert_array_equal(boot.draws, np.asarray(expected))
 
     def test_trim_without_refit_keeps_gamma_on_kept_rows(self, pipeline_cohort):
         bundle = fit_weighted_mhr(

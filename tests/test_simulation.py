@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wcox.simulation
 from wcox import (
     EstimandResult,
     ScenarioConfig,
@@ -290,6 +291,15 @@ class TestEstimandValidation:
     def test_att_needs_target(self):
         with pytest.raises(ValidationError, match="att estimand needs"):
             true_estimand("multi3", "att", 1.0, m=1_000_000, alpha=-0.24)
+
+    @pytest.mark.parametrize("target", [None, 3])
+    def test_att_target_is_checked_before_drawing(self, monkeypatch, target):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew the sample before checking the target")
+
+        monkeypatch.setattr(wcox.simulation, "gen_covariates", draw)
+        with pytest.raises(ValidationError, match="att estimand needs a valid target group"):
+            true_estimand("multi3", "att", 1.0, m=1_000_000, att_target=target)
 
 
 class TestScenarioConfig:
