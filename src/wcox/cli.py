@@ -328,6 +328,8 @@ def _cmd_balance(args) -> int:
     fitted, psfit, weights, _ = _weigh(
         cohort, scheme, att_target, args.trim, not args.no_trim_refit
     )
+    if args.out_histogram and psfit is None:
+        raise ValidationError("propensity histogram needs a fitted model")
     report = balance_table(fitted, weights, cov_names or None)
     lines = ["covariate,group_a,group_b,smd_unweighted,smd_weighted"]
     for row in report.to_rows():
@@ -341,8 +343,6 @@ def _cmd_balance(args) -> int:
     else:
         sys.stdout.write(content)
     if args.out_histogram:
-        if psfit is None:
-            raise ValidationError("propensity histogram needs a fitted model")
         counts, edges = propensity_histogram(psfit, fitted.treatment)
         hl = ["component,group,bin_low,bin_high,count"]
         g = counts.shape[0]

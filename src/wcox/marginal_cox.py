@@ -190,19 +190,6 @@ class StackedPieces:
     a_tg: np.ndarray
     a_gg: np.ndarray
 
-    def bread(self) -> np.ndarray:
-        j = self.a_tt.shape[0]
-        k = self.a_gg.shape[0]
-        a = np.zeros((j + k, j + k))
-        a[:j, :j] = self.a_tt
-        a[:j, j:] = self.a_tg
-        a[j:, j:] = self.a_gg
-        return a
-
-    def meat(self) -> np.ndarray:
-        phi = np.hstack([self.psi_c, self.pi])
-        return phi.T @ phi / phi.shape[0]
-
 
 def _log_weight_gradient(psfit: PropensityFit, weights: WeightSet, treatment) -> np.ndarray:
     """d log w_i / d gamma, shape (n, J(p+1)) in gamma.ravel() order.
@@ -273,10 +260,6 @@ class SandwichResult:
 
     cov_tau: np.ndarray
     cov_tau_fixed: np.ndarray
-    cov_joint: np.ndarray | None
-    bread: np.ndarray | None
-    meat: np.ndarray | None
-    pieces: StackedPieces | None
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -297,37 +280,29 @@ def sandwich_covariance(
     weights: WeightSet,
     tau,
 ) -> SandwichResult:
-    """Stacked M-estimation sandwich covariance A^-1 B A^-T / n.
+    """Stacked M-estimation sandwich covariance of tau.
 
-    With psfit=None (or UNIT weights, whose gamma cross block vanishes)
-    the result reduces to the fixed-weight robust variance.  After a trim
-    without refit, psfit holds the full-sample gamma with its rows cut to
-    the kept units, and gamma is treated as if it had been fitted on them.
+    The stacked bread is block upper-triangular (a_gt = 0), so the tau
+    block of A^-1 B A^-T / n is a_tt^-1 (U'U / n) a_tt^-1 / n with the
+    per-unit influence terms U = psi_c - pi a_gg^-1 a_tg' (Lunceford and
+    Davidian 2004; Stefanski and Boos 2002).  a_gg^-1 a_tg' is taken as a
+    least-squares solve: pi_i and the rows of a_tg lie in the range of
+    a_gg, so U is well defined, and invariant to the coding, when a
+    propensity covariate is aliased and a_gg is singular.
+
+    With psfit=None, or UNIT weights (a_tg = 0), U = psi_c and cov_tau is
+    the fixed-weight robust variance.  After a trim without refit, psfit
+    holds the full-sample gamma with its rows cut to the kept units, and
+    gamma is treated as if it had been fitted on them.
     """
-    tau = np.asarray(tau, dtype=np.float64)
     n = cohort.n
-    j = tau.shape[0]
     pieces = stacked_pieces(cohort, psfit, weights, tau)
-    cov_fixed = _sandwich(pieces.a_tt, pieces.psi_c.T @ pieces.psi_c / n, n)
-    if psfit is None:
-        return SandwichResult(
-            cov_tau=cov_fixed,
-            cov_tau_fixed=cov_fixed,
-            cov_joint=None,
-            bread=None,
-            meat=None,
-            pieces=None,
-        )
-    bread = pieces.bread()
-    meat = pieces.meat()
-    cov_joint = _sandwich(bread, meat, n)
+    psi_c = pieces.psi_c
+    cov_fixed = _sandwich(pieces.a_tt, psi_c.T @ psi_c / n, n)
+    g = np.linalg.lstsq(pieces.a_gg, pieces.a_tg.T, rcond=None)[0]
+    u = psi_c - pieces.pi @ g
     return SandwichResult(
-        cov_tau=cov_joint[:j, :j],
-        cov_tau_fixed=cov_fixed,
-        cov_joint=cov_joint,
-        bread=bread,
-        meat=meat,
-        pieces=pieces,
+        cov_tau=_sandwich(pieces.a_tt, u.T @ u / n, n), cov_tau_fixed=cov_fixed
     )
 
 
@@ -470,9 +445,7 @@ def fit_weighted_mhr(
     sandwich = None
     boot = None
     if variance == "robust":
-        sandwich = sandwich_covariance(
-            cohort, None if scheme == "unit" else psfit, weights, estimate.tau
-        )
+        sandwich = sandwich_covariance(cohort, psfit, weights, estimate.tau)
         estimate = estimate.with_covariance(sandwich.cov_tau, "robust")
     elif variance == "bootstrap":
         boot = bootstrap_covariance(

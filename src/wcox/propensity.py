@@ -44,17 +44,21 @@ def _design(covariates: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(covariates.shape[0]), covariates])
 
 
+def _softmax(offsets: np.ndarray) -> np.ndarray:
+    """Probabilities of logits (0, offsets), row by row."""
+    logits = np.column_stack([np.zeros(offsets.shape[0]), offsets])
+    logits -= logits.max(axis=1, keepdims=True)
+    num = np.exp(logits)
+    return num / num.sum(axis=1, keepdims=True)
+
+
 def multinomial_probs(gamma: np.ndarray, covariates: np.ndarray) -> np.ndarray:
     """Propensities e_j(x; gamma) for all groups, shape (n, J+1).
 
     Column 0 is the reference group; rows sum to one.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
-    xt = _design(covariates)
-    logits = np.column_stack([np.zeros(xt.shape[0]), xt @ gamma.T])
-    logits -= logits.max(axis=1, keepdims=True)
-    num = np.exp(logits)
-    return num / num.sum(axis=1, keepdims=True)
+    return _softmax(_design(covariates) @ gamma.T)
 
 
 @dataclass(frozen=True)

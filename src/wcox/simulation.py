@@ -31,7 +31,7 @@ from .data_model import (
     factorial_treatment_labels,
 )
 from .marginal_cox import bootstrap_covariance, fit_mhr, sandwich_covariance
-from .propensity import _tilt, compute_weights, fit_multinomial_logit
+from .propensity import _softmax, _tilt, compute_weights, fit_multinomial_logit
 
 __all__ = [
     "B_COEF",
@@ -133,14 +133,6 @@ def gen_covariates(n: int, rng) -> np.ndarray:
     x_norm = rng.standard_normal((n, 3)) @ chol.T
     x_bin = rng.integers(0, 2, size=(n, 3)).astype(np.float64) - 0.5
     return np.hstack([x_norm, x_bin])
-
-
-def _softmax(offsets: np.ndarray) -> np.ndarray:
-    """Probabilities of logits (0, offsets), row by row."""
-    logits = np.column_stack([np.zeros(offsets.shape[0]), offsets])
-    logits -= logits.max(axis=1, keepdims=True)
-    num = np.exp(logits)
-    return num / num.sum(axis=1, keepdims=True)
 
 
 def true_propensities(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:

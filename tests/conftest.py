@@ -70,6 +70,19 @@ def brute_partial_score(time, event, treatment, weights, tau, j):
     return score
 
 
+def stacked_bread_meat(pieces):
+    """Joint bread A and meat B of the stacked system (tau first, then
+    gamma), assembled from the `stacked_pieces` blocks; a_gt = 0."""
+    j = pieces.a_tt.shape[0]
+    k = pieces.a_gg.shape[0]
+    a = np.zeros((j + k, j + k))
+    a[:j, :j] = pieces.a_tt
+    a[:j, j:] = pieces.a_tg
+    a[j:, j:] = pieces.a_gg
+    phi = np.hstack([pieces.psi_c, pieces.pi])
+    return a, phi.T @ phi / phi.shape[0]
+
+
 def python_km_reference(time, event, weight):
     """Sequential product-limit reference with ascending-time accumulation."""
     order = sorted(range(len(time)), key=lambda i: time[i])

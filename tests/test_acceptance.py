@@ -28,6 +28,7 @@ from conftest import (
     brute_partial_loglik,
     python_km_reference,
     random_survival_cohort,
+    stacked_bread_meat,
 )
 from wcox import (
     EstimandResult,
@@ -40,6 +41,7 @@ from wcox import (
     multinomial_probs,
     run_study,
     sandwich_covariance,
+    stacked_pieces,
     validate_cohort,
     weighted_km,
 )
@@ -417,7 +419,7 @@ def test_sandwich_bread_matches_fd_jacobian():
         w = compute_weights(ps, co.treatment, scheme)
         est = fit_mhr(co, w)
         sw = sandwich_covariance(co, ps, w, est.tau)
-        bread = sw.pieces.bread()
+        bread, _ = stacked_bread_meat(stacked_pieces(co, ps, w, est.tau))
 
         theta0 = np.concatenate([est.tau, ps.gamma.ravel()])
         dim = theta0.size

@@ -288,6 +288,27 @@ class TestFit:
         assert captured.out == ""
         assert "confidence level must lie in (0, 1)" in captured.err
 
+    def test_aliased_covariate_gets_finite_se(self, tmp_path, capsys):
+        # x2 = 2 x1: the propensity information is singular, the fit is
+        # ridged, and the robust variance still exists
+        co = random_survival_cohort(np.random.default_rng(63), n=200, j=2, p=2)
+        x1, x3 = co.covariates.T
+        path = tmp_path / "aliased.csv"
+        rows = [
+            (co.time[i], co.event[i], co.treatment[i], x1[i], 2.0 * x1[i], x3[i])
+            for i in range(co.n)
+        ]
+        _write_csv(path, ["t", "d", "z", "x1", "x2", "x3"], rows)
+        for scheme in ("ipw", "ow"):
+            code = main(
+                ["fit", str(path), "--time", "t", "--event", "d", "--treatment",
+                 "z", "--covariates", "x1,x2,x3", "--weight-scheme", scheme]
+            )
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            se = [est["se"] for est in json.loads(out)["estimates"]]
+            assert len(se) == 2 and np.all(np.isfinite(se)), se
+
 
 class TestLoadingErrors:
     def test_missing_column_names_the_column(self, four_unit_csv, capsys):
@@ -442,6 +463,24 @@ class TestBalance:
         assert sum(sizes.values()) == 120
         for (comp, g), total in by_pair.items():
             assert total == sizes[g]
+
+    def test_unit_histogram_without_trim_writes_nothing(
+        self, cohort_csv, tmp_path, capsys
+    ):
+        # unit weights without --trim fit no propensity model, so there is
+        # no histogram; the command must fail before writing the table
+        table = tmp_path / "smd.csv"
+        hist = tmp_path / "hist.csv"
+        args = ["balance", cohort_csv, "--time", "t", "--event", "d",
+                "--treatment", "z", "--covariates", "x1,x2,x3",
+                "--weight-scheme", "unit", "--out-histogram", str(hist)]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "propensity histogram needs a fitted model" in err
+        assert main([*args, "--out-csv", str(table)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not table.exists() and not hist.exists()
 
     def test_group_without_events_needs_no_cox_fit(
         self, no_events_in_group_2_csv, capsys
