@@ -180,45 +180,97 @@ class _NewtonLimits:
 _MAX_HALVINGS = 30
 
 
-def _damped_newton(evaluate, x, tol, limits, regularize=None):
-    """Maximize a concave log-likelihood by Newton ascent with step-halving.
+def _one_row(values):
+    """`evaluate` values of a single problem with the leading row axis that
+    `_damped_newton` expects."""
+    return [np.asarray(v)[None] for v in values]
 
-    `evaluate(x)` returns (loglik, score, info, ...) with info the negative
-    Hessian; a step is accepted once the log-likelihood is finite and no
-    lower than the current one (to a 1e-10 relative slack).  `regularize`,
-    when given, maps info to the matrix actually solved.  Returns
-    (x, values, iterations, gnorm), with values the full tuple of
-    `evaluate` at the solution and gnorm its gradient inf-norm (<= tol).
-    """
-    values = evaluate(x)
-    iterations = 0
-    gnorm = float(np.max(np.abs(values[1])))
-    for _ in range(limits.max_iter):
-        if gnorm <= tol:
-            break
-        loglik, score, info = values[:3]
-        if regularize is not None:
-            info = regularize(info)
+
+def _solve(info, score):
+    """Newton steps info^-1 score for a stack of problems, and a mask of the
+    rows whose information matrix is singular (their step is left at 0)."""
+    try:
+        return np.linalg.solve(info, score[..., None])[..., 0], np.zeros(len(score), bool)
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(score)
+    singular = np.zeros(len(score), bool)
+    for r in range(len(score)):
         try:
-            step = np.linalg.solve(info, score)
+            step[r] = np.linalg.solve(info[r], score[r])
         except np.linalg.LinAlgError:
-            raise limits.error(limits.singular) from None
+            singular[r] = True
+    return step, singular
+
+
+def _damped_newton(evaluate, x, tol, limits, regularize=None):
+    """Maximize concave log-likelihoods by Newton ascent with step-halving,
+    one problem per row of x, shape (B, k).
+
+    `evaluate(x_rows, rows)` returns (loglik, score, info, ...) of problems
+    `rows` at the points x_rows, each value with a leading axis over those
+    rows and info the negative Hessian.  Every row keeps its own
+    step-halving, limits and convergence state, and `evaluate` sees only
+    the rows still iterating.  A step is accepted once the row's
+    log-likelihood is finite and no lower than its current one (to a 1e-10
+    relative slack).  `regularize(info, rows)`, when given, maps the
+    information of those rows to the matrices actually solved.  `tol` is
+    one gradient tolerance, or one per row.
+
+    Returns (x, values, iterations, gnorm, errors): values is the tuple of
+    `evaluate` at each row's last accepted point, gnorm the gradient
+    inf-norms (<= tol on success) and errors one ConvergenceError or None
+    per row.  A row that fails stops iterating.
+    """
+    x = np.array(x, dtype=np.float64)
+    b = x.shape[0]
+    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), (b,))
+    values = [np.array(v) for v in evaluate(x, np.arange(b))]
+    iterations = np.zeros(b, dtype=np.int64)
+    gnorm = np.max(np.abs(values[1]), axis=1)
+    errors = [None] * b
+
+    def fail(rows, message):
+        for r in rows:
+            errors[r] = limits.error(message, gnorm[r])
+
+    live = np.flatnonzero(~(gnorm <= tol))
+    for _ in range(limits.max_iter):
+        if live.size == 0:
+            break
+        info = values[2][live]
+        if regularize is not None:
+            info = regularize(info, live)
+        step, singular = _solve(info, values[1][live])
+        fail(live[singular], limits.singular)
+        live, step = live[~singular], step[~singular]
+        loglik = values[0][live]
+        floor = loglik - 1e-10 * (1.0 + np.abs(loglik))
+        pending = np.arange(live.size)
         for _h in range(_MAX_HALVINGS + 1):
-            cand = x + step
-            new = evaluate(cand)
-            if np.isfinite(new[0]) and new[0] >= loglik - 1e-10 * (1.0 + abs(loglik)):
+            if pending.size == 0:
                 break
-            step = 0.5 * step
-        else:
-            raise limits.error(limits.no_ascent)
-        x, values = cand, new
-        iterations += 1
-        gnorm = float(np.max(np.abs(values[1])))
-        if np.max(np.abs(x)) > limits.bound and gnorm > tol:
-            raise limits.error(limits.diverged)
-    if not gnorm <= tol:
-        raise limits.error(limits.stalled, gnorm)
-    return x, values, iterations, gnorm
+            rows = live[pending]
+            cand = x[rows] + step[pending]
+            new = evaluate(cand, rows)
+            ok = np.isfinite(new[0]) & (new[0] >= floor[pending])
+            if ok.any():
+                x[rows[ok]] = cand[ok]
+                for store, value in zip(values, new):
+                    store[rows[ok]] = value[ok]
+            pending = pending[~ok]
+            step[pending] = 0.5 * step[pending]
+        fail(live[pending], limits.no_ascent)
+        moved = np.delete(live, pending)
+        iterations[moved] += 1
+        gnorm[moved] = np.max(np.abs(values[1][moved]), axis=1)
+        diverged = (np.max(np.abs(x[moved]), axis=1) > limits.bound) & (
+            gnorm[moved] > tol[moved]
+        )
+        fail(moved[diverged], limits.diverged)
+        live = moved[~diverged & ~(gnorm[moved] <= tol[moved])]
+    fail(live, limits.stalled)
+    return x, values, iterations, gnorm, errors
 
 
 _COX_LIMITS = _NewtonLimits(
@@ -235,6 +287,63 @@ _COX_LIMITS = _NewtonLimits(
         "(gradient inf-norm {gnorm:.3e})"
     ),
 )
+
+
+def _risk_tables(time, event, arm, weights, arms: int):
+    """Event and at-risk tables of the indicator design, one per row of
+    `weights` (B, n).
+
+    At each distinct event time t_k, in ascending order, and arm z:
+    F[b, k, z] is the weight of arm z's events at t_k and R[b, k, z] the
+    weight of arm z still at risk (time >= t_k).  Returns (F, R), each of
+    shape (B, T, arms).
+    """
+    order = np.argsort(time, kind="stable")
+    t = time[order]
+    d = np.asarray(event)[order].astype(bool)
+    w = weights[:, order, None] * (arm[order, None] == np.arange(arms))
+    times, first = np.unique(t[d], return_index=True)
+    f = np.add.reduceat(w[:, d], first, axis=1)
+    r = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    return f, r[:, np.searchsorted(t, times, side="left")]
+
+
+def _table_quantities(tau, f_total, f_dot, r):
+    """Breslow log-likelihood, score and information of the indicator
+    design at tau (m, J), from the tables of `_risk_tables`: f_total (m,
+    J+1) the events per arm, f_dot (m, T) the events per time and r the
+    at-risk table."""
+    full = np.concatenate([np.zeros((tau.shape[0], 1)), tau], axis=1)
+    full = full - np.max(full, axis=1, keepdims=True)
+    s = r * np.exp(full)[:, None, :]
+    # a time without events of the row may have no weight at risk, and a
+    # wild step-halving candidate may underflow s0 to 0, giving a
+    # non-finite loglik that the driver rejects
+    s0 = np.where(f_dot > 0.0, s.sum(axis=2), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglik = np.sum(f_total * full, axis=1) - np.sum(f_dot * np.log(s0), axis=1)
+        dbar = s[:, :, 1:] / s0[:, :, None]
+    weighted = f_dot[:, :, None] * dbar
+    mean = weighted.sum(axis=1)
+    info = mean[:, :, None] * np.eye(tau.shape[1]) - weighted.transpose(0, 2, 1) @ dbar
+    return loglik, f_total[:, 1:] - mean, info
+
+
+def _fit_risk_tables(f, r):
+    """`fit_cox` of the indicator design on the tables of `_risk_tables`,
+    one fit per leading row, with its rules: the weights must have mean
+    one, the tolerance is max(1e-9, 1024 eps (weighted events)), at most
+    50 iterations and |tau| <= 20.  Returns (tau (B, J), failed (B,))."""
+    f_total = f.sum(axis=1)
+    f_dot = f.sum(axis=2)
+    tol = np.maximum(1e-9, 1024.0 * np.finfo(np.float64).eps * f_total.sum(axis=1))
+    tau, _, _, _, errors = _damped_newton(
+        lambda x, rows: _table_quantities(x, f_total[rows], f_dot[rows], r[rows]),
+        np.zeros((f.shape[0], f.shape[2] - 1)),
+        tol,
+        _COX_LIMITS,
+    )
+    return tau, np.array([e is not None for e in errors], dtype=bool)
 
 
 def fit_cox(time, event, design, weights) -> CoxFitCore:
@@ -270,17 +379,23 @@ def fit_cox(time, event, design, weights) -> CoxFitCore:
     # noise (only reachable for cohorts in the millions of records)
     w_ev_total = float(np.sum(prob.w_ev))
     tol = max(1e-9, 1024.0 * np.finfo(np.float64).eps * w_ev_total)
-    beta, (loglik, score, info), iterations, gnorm = _damped_newton(
-        prob.quantities, np.zeros(prob.q), tol, _COX_LIMITS
+    beta, values, iterations, gnorm, errors = _damped_newton(
+        lambda b, _: _one_row(prob.quantities(b[0])),
+        np.zeros((1, prob.q)),
+        tol,
+        _COX_LIMITS,
     )
+    if errors[0] is not None:
+        raise errors[0]
+    loglik, score, info = (float(values[0][0]), values[1][0], values[2][0])
 
     # exact raw-scale transforms: score and info are degree-1 homogeneous
     # in the weights; the loglik picks up -log(wbar) per weighted event
     return CoxFitCore(
-        beta=beta,
+        beta=beta[0],
         loglik=wbar * (loglik - np.log(wbar) * w_ev_total),
         score=wbar * score,
         info=wbar * info,
-        iterations=iterations,
-        score_norm=gnorm,
+        iterations=int(iterations[0]),
+        score_norm=float(gnorm[0]),
     )

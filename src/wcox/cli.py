@@ -4,8 +4,8 @@ Subcommands: fit, km, balance, simulate, estimand.  Every command prints
 a run manifest (command, resolved configuration, SHA-256 digests of the
 input files, seed, package version) so outputs are reproducible; given
 identical inputs, flags, and seeds the outputs are byte-identical.
-Wall-clock duration goes to stderr only, keeping the output streams
-deterministic.
+Wall-clock duration, and the reasons why `fit` dropped bootstrap
+replicates, go to stderr only, keeping the output streams deterministic.
 
 Exit codes: 0 success, 2 validation or input error, 3 solver
 nonconvergence or separation, 4 simulation study abort.
@@ -298,6 +298,14 @@ def _cmd_fit(args) -> int:
     print(text)
     if args.out_json:
         _write_text(args.out_json, text + "\n")
+    boot = bundle.bootstrap
+    if boot is not None and boot.n_dropped:
+        reasons = ", ".join(f"{k} {v}" for k, v in boot.drop_reasons.items())
+        print(
+            f"wcox: bootstrap dropped {boot.n_dropped} of {boot.n_requested} "
+            f"replicates ({reasons})",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import norm
 
-from ._engine import CoxProblem, fit_cox
+from ._engine import CoxProblem, _fit_risk_tables, _risk_tables, fit_cox
 from .data_model import (
     Cohort,
     ConvergenceError,
@@ -31,6 +31,9 @@ from .propensity import (
     PropensityFit,
     WeightSet,
     _check_scheme,
+    _count_weights,
+    _fit_counts,
+    _warn_ridge,
     _weigh,
     multinomial_information,
 )
@@ -317,6 +320,46 @@ class BootstrapResult:
     drop_reasons: dict
 
 
+# units x draws of one batched pass; bounds the (draws, n, J+1) arrays
+_BATCH_UNITS = 1 << 20
+_DROP_STAGES = ("missing_group", "propensity", "cox")
+
+
+def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
+    """The untrimmed pipeline on resamples given as counts (B, n), each
+    count a frequency weight on the original rows.
+
+    Returns (tau (B, J), stage (B,), ridged): stage is 0 for a kept draw,
+    else 1 + the index in `_DROP_STAGES` of the stage that stopped it.
+    """
+    j = cohort.n_treatments
+    arm = (cohort.treatment[:, None] == np.arange(j + 1)).astype(np.float64)
+    stage = np.where(np.any(counts @ arm == 0.0, axis=1), 1, 0)
+    weights = counts.astype(np.float64)
+    ridged = False
+    rows = np.flatnonzero(stage == 0)
+    if scheme != "unit" and rows.size:
+        probs, failed, ridged_rows = _fit_counts(cohort, counts[rows])
+        ridged = bool(ridged_rows.any())
+        w, bad = _count_weights(
+            probs, cohort.treatment, counts[rows] > 0, scheme, att_target
+        )
+        weights[rows] *= w
+        stage[rows[failed | bad]] = 2
+    no_events = np.any((counts * cohort.event) @ arm == 0.0, axis=1)
+    stage[(stage == 0) & no_events] = 3
+    rows = np.flatnonzero(stage == 0)
+    tau = np.zeros((counts.shape[0], j))
+    if rows.size:
+        # fit_cox rescales each resample's weights to mean one
+        w = weights[rows]
+        w /= (w.sum(axis=1) / cohort.n)[:, None]
+        f, r = _risk_tables(cohort.time, cohort.event, cohort.treatment, w, j + 1)
+        tau[rows], failed = _fit_risk_tables(f, r)
+        stage[rows[failed]] = 3
+    return tau, stage, ridged
+
+
 def bootstrap_covariance(
     cohort: Cohort,
     scheme: str,
@@ -329,13 +372,18 @@ def bootstrap_covariance(
     """Resample units with replacement; refit propensities and tau each time.
 
     Each replicate is the untrimmed pipeline on the resample: the weighting
-    stage, then `fit_mhr`.  An unknown scheme or att target raises
-    ValidationError before any resample is drawn.
+    stage, then `fit_mhr`.  A resample is held as the count of draws of
+    each unit, used as frequency weights on the original rows, and all
+    replicates are fitted in one batched Newton pass per stage; each draw
+    equals the fit on its materialised resample to solver precision.
+    An unknown scheme or att target raises ValidationError before any
+    resample is drawn.
     Replicates where a treatment group disappears, a group loses all its
     events, or either fit fails are dropped and counted by the stage that
     stopped them: "missing_group", "propensity" (the weighting stage) or
     "cox" (the tau fit).  More than `max_drop_fraction` dropped raises
-    StudyError ("bootstrap unstable").
+    StudyError ("bootstrap unstable").  When any replicate's propensity
+    fit needed the ridge fallback, one warning is issued.
     The covariance is the empirical covariance (ddof=1) of the retained
     tau draws.  Fully deterministic given (cohort, scheme, n_boot, seed).
     """
@@ -343,38 +391,36 @@ def bootstrap_covariance(
         raise ValidationError("bootstrap needs at least 2 replicates")
     if seed is None:
         raise ValidationError("bootstrap requires a seed")
-    j = cohort.n_treatments
     n = cohort.n
-    _check_scheme(scheme, att_target, j + 1)
+    _check_scheme(scheme, att_target, cohort.n_treatments + 1)
     children = np.random.SeedSequence(seed).spawn(n_boot)
-    draws = []
+    per_pass = max(1, _BATCH_UNITS // n)
+    taus, stages, ridged = [], [], False
+    for start in range(0, n_boot, per_pass):
+        counts = np.array(
+            [
+                np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
+                for child in children[start : start + per_pass]
+            ]
+        )
+        tau, stage, pass_ridged = _fit_resamples(cohort, counts, scheme, att_target)
+        taus.append(tau)
+        stages.append(stage)
+        ridged |= pass_ridged
+    if ridged:
+        _warn_ridge()
+    stage = np.concatenate(stages)
     reasons: dict[str, int] = {}
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
-        sub = cohort.subset(idx)
-        sizes = np.bincount(sub.treatment, minlength=j + 1)
-        if np.any(sizes == 0):
-            reasons["missing_group"] = reasons.get("missing_group", 0) + 1
-            continue
-        try:
-            _, _, w, _ = _weigh(sub, scheme, att_target)
-        except (ConvergenceError, ValidationError):
-            reasons["propensity"] = reasons.get("propensity", 0) + 1
-            continue
-        try:
-            est = fit_mhr(sub, w)
-        except (ConvergenceError, ValidationError):
-            reasons["cox"] = reasons.get("cox", 0) + 1
-            continue
-        draws.append(est.tau)
-    n_dropped = n_boot - len(draws)
+    for k in stage[stage > 0]:
+        name = _DROP_STAGES[k - 1]
+        reasons[name] = reasons.get(name, 0) + 1
+    n_dropped = int(np.count_nonzero(stage))
     if n_dropped > max_drop_fraction * n_boot:
         raise StudyError(
             f"bootstrap unstable: {n_dropped} of {n_boot} replicates dropped "
             f"({reasons})"
         )
-    arr = np.asarray(draws)
+    arr = np.concatenate(taus)[stage == 0]
     cov = np.atleast_2d(np.cov(arr.T, ddof=1))
     return BootstrapResult(
         cov_tau=cov,

@@ -13,13 +13,15 @@ all coefficients of group 1, then group 2, and so on.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from ._engine import _damped_newton, _NewtonLimits
+from ._engine import _damped_newton, _NewtonLimits, _one_row
 from .data_model import Cohort, ValidationError, _indicators, _readonly
 
 __all__ = [
@@ -123,6 +125,28 @@ _PROPENSITY_LIMITS = _NewtonLimits(
 )
 
 
+def _warn_ridge():
+    """Warn that the ridge fallback was used, at the first caller outside
+    the wcox package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"ill-conditioned propensity information matrix; adding ridge {_RIDGE:g}",
+        stacklevel=level,
+    )
+
+
+def _ridge(info):
+    """Add the ridge to every information matrix of the stack whose
+    condition estimate exceeds the limit; returns (info, ridged rows)."""
+    bad = np.linalg.cond(info) > _CONDITION_LIMIT
+    if bad.any():
+        info = np.where(bad[:, None, None], info + _RIDGE * np.eye(info.shape[1]), info)
+    return info, bad
+
+
 def fit_multinomial_logit(cohort: Cohort) -> PropensityFit:
     """Maximum-likelihood multinomial logistic propensity model.
 
@@ -145,39 +169,95 @@ def fit_multinomial_logit(cohort: Cohort) -> PropensityFit:
     onehot = _indicators(cohort.treatment, j)
     ridged = False
 
-    def regularize(hess):
+    def regularize(info, _):
         nonlocal ridged
-        if np.linalg.cond(hess) > _CONDITION_LIMIT:
-            hess = hess + _RIDGE * np.eye(j * d)
-            if not ridged:
-                warnings.warn(
-                    "ill-conditioned propensity information matrix; "
-                    f"adding ridge {_RIDGE:g}",
-                    stacklevel=4,
-                )
+        info, bad = _ridge(info)
+        if bad.any() and not ridged:
             ridged = True
-        return hess
+            _warn_ridge()
+        return info
 
-    theta, (loglik, _, _, probs), iterations, gnorm = _damped_newton(
-        lambda th: _multinomial_quantities(th.reshape(j, d), xt, onehot),
-        np.zeros(j * d),
+    theta, values, iterations, gnorm, errors = _damped_newton(
+        lambda th, _: _one_row(_multinomial_quantities(th[0].reshape(j, d), xt, onehot)),
+        np.zeros((1, j * d)),
         1e-8,
         _PROPENSITY_LIMITS,
         regularize,
     )
-    probs = probs.copy()
+    if errors[0] is not None:
+        raise errors[0]
+    probs = values[3][0].copy()
     probs.setflags(write=False)
-    gamma = theta.reshape(j, d).copy()
+    gamma = theta[0].reshape(j, d).copy()
     gamma.setflags(write=False)
     return PropensityFit(
         gamma=gamma,
         probs=probs,
         design=xt,
-        loglik=loglik,
-        iterations=iterations,
-        score_norm=gnorm,
+        loglik=float(values[0][0]),
+        iterations=int(iterations[0]),
+        score_norm=float(gnorm[0]),
         ridged=ridged,
     )
+
+
+def _count_quantities(theta, xt, onehot, xx, counts):
+    """`_multinomial_quantities` of a stack of fits, each weighting the
+    units by one row of `counts` (frequency weights).
+
+    theta (m, J(p+1)), counts (m, n), onehot (J, n) and xx (n, (p+1)^2)
+    the row-wise outer products of the design.  The probabilities come
+    back as (m, J+1, n), and the information blocks of all fits are one
+    product of the coefficients c e_a (1{a=b} - e_b) with xx.
+    """
+    m = theta.shape[0]
+    n, d = xt.shape
+    j = onehot.shape[0]
+    logits = np.zeros((m, j + 1, n))
+    logits[:, 1:] = theta.reshape(m, j, d) @ xt.T
+    top = logits.max(axis=1)
+    probs = np.exp(logits - top[:, None])
+    total = probs.sum(axis=1)
+    probs /= total[:, None]
+    lse = top + np.log(total)
+    loglik = np.sum(counts * ((onehot * logits[:, 1:]).sum(axis=1) - lse), axis=1)
+    ce = counts[:, None] * probs[:, 1:]
+    score = ((counts[:, None] * onehot - ce) @ xt).reshape(m, j * d)
+    coefs = -ce[:, :, None] * probs[:, None, 1:]
+    coefs[:, np.arange(j), np.arange(j)] += ce
+    blocks = coefs.reshape(m * j * j, n) @ xx
+    info = blocks.reshape(m, j, j, d, d).transpose(0, 1, 3, 2, 4).reshape(m, j * d, j * d)
+    return loglik, score, info, probs
+
+
+def _fit_counts(cohort: Cohort, counts):
+    """Propensity fits of the cohort under each row of `counts` (B, n) as
+    frequency weights, with the rules of `fit_multinomial_logit`.
+
+    Returns (probs (B, n, J+1), failed (B,), ridged (B,)); a failed fit is
+    one that `fit_multinomial_logit` on the resample would raise on.
+    """
+    j = cohort.n_treatments
+    xt = _design(cohort.covariates)
+    d = xt.shape[1]
+    onehot = _indicators(cohort.treatment, j).T
+    xx = (xt[:, :, None] * xt[:, None, :]).reshape(xt.shape[0], d * d)
+    ridged = np.zeros(len(counts), dtype=bool)
+
+    def regularize(info, rows):
+        info, bad = _ridge(info)
+        ridged[rows[bad]] = True
+        return info
+
+    _, values, _, _, errors = _damped_newton(
+        lambda th, rows: _count_quantities(th, xt, onehot, xx, counts[rows]),
+        np.zeros((len(counts), j * d)),
+        1e-8,
+        _PROPENSITY_LIMITS,
+        regularize,
+    )
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    return values[3].transpose(0, 2, 1), failed, ridged
 
 
 def multinomial_information(probs: np.ndarray, design: np.ndarray) -> np.ndarray:
@@ -249,20 +329,20 @@ def _check_scheme(scheme: str, att_target, groups: int) -> None:
         raise ValidationError("att scheme needs a valid target group index")
 
 
-def _tilt(scheme: str, n: int, probs, att_target) -> np.ndarray:
-    """The numerator h(X) of the weight h / e_Z for n units: 1 for ipw,
-    e_target for att and the harmonic term (sum_k 1/e_k)^-1 for ow.
+def _tilt(scheme: str, n, probs, att_target) -> np.ndarray:
+    """The numerator h(X) of the weight h / e_Z for units of shape n: 1
+    for ipw, e_target for att and the harmonic term (sum_k 1/e_k)^-1 for ow.
 
-    Only att and ow read `probs`, shape (n, J+1).  The caller has checked
+    Only att and ow read `probs`, shape n + (J+1,).  The caller has checked
     the scheme and the att target.
     """
     if scheme == "ipw":
         return np.ones(n)
     if scheme == "att":
-        return probs[:, int(att_target)].copy()
+        return probs[..., int(att_target)].copy()
     if np.any(probs == 0.0):
         raise ValidationError("overlap weights need all propensities positive")
-    return 1.0 / (1.0 / probs).sum(axis=1)
+    return 1.0 / (1.0 / probs).sum(axis=-1)
 
 
 def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> WeightSet:
@@ -298,11 +378,14 @@ def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> We
         )
 
     _check_scheme(scheme, att_target, g)
-    if scheme == "unit":
-        tilt = e_assigned.copy()
-    else:
-        tilt = _tilt(scheme, n, probs, att_target)
-    weights = tilt / e_assigned
+    # a subnormal propensity overflows 1/e to inf; the check below
+    # rejects the weights that it makes
+    with np.errstate(over="ignore"):
+        if scheme == "unit":
+            tilt = e_assigned.copy()
+        else:
+            tilt = _tilt(scheme, n, probs, att_target)
+        weights = tilt / e_assigned
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValidationError("weights must come out finite and positive")
     weights.setflags(write=False)
@@ -313,6 +396,36 @@ def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> We
         tilt=tilt,
         att_target=None if att_target is None else int(att_target),
     )
+
+
+def _count_weights(probs, treatment, drawn, scheme: str, att_target=None):
+    """`compute_weights` for a stack of fits, probs (B, n, J+1), whose
+    units i count only where drawn[b, i].
+
+    Returns (weights (B, n), failed (B,)).  Only drawn units enter the
+    checks of `compute_weights`, and the others get weight 0: their
+    propensities may be 0, and a zero count times an infinite weight would
+    be NaN.  The caller has checked the scheme and the att target.
+    """
+    n, g = probs.shape[1:]
+    e_assigned = probs[:, np.arange(n), treatment]
+    bad = (
+        np.any(probs < 0.0, axis=2)
+        | np.any(probs > 1.0, axis=2)
+        | (np.abs(probs.sum(axis=2) - 1.0) > 1e-8)
+        | (e_assigned == 0.0)
+    )
+    if scheme == "ow":
+        bad |= np.any(probs == 0.0, axis=2)
+    failed = np.any(bad & drawn, axis=1)
+    use = drawn & ~failed[:, None]
+    probs = np.where(use[:, :, None], probs, 1.0 / g)
+    with np.errstate(over="ignore"):
+        weights = _tilt(scheme, use.shape, probs, att_target) / probs[
+            :, np.arange(n), treatment
+        ]
+    failed |= np.any(use & ~((weights > 0.0) & np.isfinite(weights)), axis=1)
+    return np.where(use, weights, 0.0), failed
 
 
 def _unit_weights(cohort: Cohort) -> WeightSet:

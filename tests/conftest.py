@@ -34,6 +34,18 @@ def random_survival_cohort(rng, n=50, j=2, p=3, censor_scale=2.0):
     raise RuntimeError("could not draw a usable random cohort")
 
 
+def collinear_cohort():
+    """Binary cohort with covariates (x1, 2 x1): the propensity information
+    is singular, so every propensity fit on it takes the ridge fallback."""
+    rng = np.random.default_rng(3)
+    n = 120
+    x1 = rng.normal(size=n)
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.8 * x1))).astype(int)
+    return validate_cohort(
+        np.ones(n), np.ones(n, dtype=int), z, np.column_stack([x1, 2.0 * x1])
+    )
+
+
 def brute_partial_loglik(time, event, treatment, weights, tau):
     """Direct O(n^2) weighted partial log-likelihood with Breslow ties.
 

@@ -60,6 +60,22 @@ def no_events_in_group_2_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def two_events_in_group_2_csv(tmp_path_factory):
+    """Group 2 keeps two of its events, so about one resample in e^2 has
+    none and its bootstrap replicate is dropped under "cox"."""
+    co = random_survival_cohort(np.random.default_rng(60), n=120, j=2, p=3)
+    event = np.array(co.event)
+    event[np.flatnonzero((co.treatment == 2) & (event == 1))[2:]] = 0
+    path = tmp_path_factory.mktemp("data") / "two_events.csv"
+    rows = [
+        (co.time[i], event[i], co.treatment[i], *co.covariates[i])
+        for i in range(co.n)
+    ]
+    _write_csv(path, ["t", "d", "z", "x1", "x2", "x3"], rows)
+    return str(path)
+
+
 @pytest.fixture()
 def factorial_csv(tmp_path):
     rng = np.random.default_rng(61)
@@ -213,6 +229,23 @@ class TestFit:
         assert out["variance_method"] == "bootstrap"
         assert out["bootstrap"]["replicates"] == 12
         assert out["manifest"]["seed"] == 5
+
+    def test_bootstrap_drop_reasons_go_to_stderr(
+        self, two_events_in_group_2_csv, tmp_path, capsys
+    ):
+        target = tmp_path / "fit.json"
+        args = [
+            "fit", two_events_in_group_2_csv, "--time", "t", "--event", "d",
+            "--treatment", "z", "--covariates", "x1,x2,x3",
+            "--weight-scheme", "ow", "--variance", "bootstrap:20", "--seed", "1",
+            "--out-json", str(target),
+        ]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["bootstrap"] == {"replicates": 20, "dropped": 2}
+        assert "wcox: bootstrap dropped 2 of 20 replicates (cox 2)" in captured.err
+        assert target.read_text() == captured.out
 
     def test_trim_block_in_output(self, cohort_csv, capsys):
         args = [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from scipy.optimize import brentq, minimize
 from conftest import (
     brute_partial_loglik,
     brute_partial_score,
+    collinear_cohort,
     random_survival_cohort,
     stacked_bread_meat,
 )
 from wcox import (
-    Cohort,
     ConvergenceError,
     MhrEstimate,
     StudyError,
@@ -31,6 +32,8 @@ from wcox import (
     stacked_pieces,
     validate_cohort,
 )
+from wcox import marginal_cox
+from wcox.propensity import _weigh
 
 
 def _unit_weights(cohort):
@@ -610,6 +613,63 @@ def boot_cohort():
     return random_survival_cohort(np.random.default_rng(30), n=70, j=1, p=2)
 
 
+def _singleton_cohort():
+    """A singleton treated group, which vanishes from many resamples."""
+    t = np.arange(1.0, 9.0)
+    d = np.ones(8, dtype=int)
+    z = np.array([0, 0, 0, 1, 0, 0, 0, 0])
+    return validate_cohort(t, d, z)
+
+
+def _far_control_cohort():
+    """One control unit at x = 1000 drives its group-2 propensity to
+    ~1e-290; resamples that draw it often enough push that below the
+    double range, so the overlap weights fail after the propensity fit
+    converged."""
+    rng = np.random.default_rng(3)
+    n = 60
+    x = rng.normal(size=n)
+    z = np.arange(n) % 3
+    t = rng.exponential(1.0, n)
+    x[0], z[0] = 1000.0, 0
+    x[z == 2] -= 1.0
+    return validate_cohort(t, np.ones(n, dtype=int), z, x[:, None])
+
+
+def _single_event_cohort():
+    """Group 2 has one event, so every resample without it has a group
+    with no events."""
+    co = random_survival_cohort(np.random.default_rng(41), n=90, j=2, p=3)
+    event = np.array(co.event)
+    event[np.flatnonzero((co.treatment == 2) & (co.event == 1))[1:]] = 0
+    return validate_cohort(co.time, event, co.treatment, co.covariates)
+
+
+def _resample_pipeline(co, scheme, n_boot, seed, att_target=None):
+    """The per-resample pipeline that bootstrap_covariance batches: each
+    resample is materialised with Cohort.subset and goes through the
+    weighting stage, then fit_mhr; a failure is filed under the stage that
+    raised it.  Returns (draws, drop reasons)."""
+    draws, reasons = [], {}
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        sub = co.subset(np.random.default_rng(child).integers(0, co.n, size=co.n))
+        if np.any(np.bincount(sub.treatment, minlength=co.n_treatments + 1) == 0):
+            stage = "missing_group"
+        else:
+            try:
+                _, _, w, _ = _weigh(sub, scheme, att_target)
+            except (ConvergenceError, ValidationError):
+                stage = "propensity"
+            else:
+                try:
+                    draws.append(fit_mhr(sub, w).tau)
+                    continue
+                except (ConvergenceError, ValidationError):
+                    stage = "cox"
+        reasons[stage] = reasons.get(stage, 0) + 1
+    return np.asarray(draws), reasons
+
+
 class TestBootstrap:
     def test_deterministic_given_seed(self, boot_cohort):
         b1 = bootstrap_covariance(boot_cohort, "ipw", 25, 123)
@@ -640,29 +700,17 @@ class TestBootstrap:
             bootstrap_covariance(boot_cohort, "ipw", 10, None)
 
     def test_missing_group_replicates_are_dropped(self):
-        # a singleton treated group vanishes from many resamples
-        t = np.arange(1.0, 9.0)
-        d = np.ones(8, dtype=int)
-        z = np.array([0, 0, 0, 1, 0, 0, 0, 0])
-        co = validate_cohort(t, d, z)
-        b = bootstrap_covariance(co, "unit", 40, 99, max_drop_fraction=0.95)
+        b = bootstrap_covariance(
+            _singleton_cohort(), "unit", 40, 99, max_drop_fraction=0.95
+        )
         assert b.drop_reasons.get("missing_group", 0) >= 1
         assert b.n_dropped == sum(b.drop_reasons.values())
         assert b.draws.shape[0] >= 1
 
     def test_weight_failures_are_filed_under_propensity(self):
-        # one control unit at x = 1000 drives its group-2 propensity to
-        # ~1e-290; resamples that draw it often enough push that below the
-        # double range, so the overlap weights fail after the propensity
-        # fit converged, with messages that do not say "propensity"
-        rng = np.random.default_rng(3)
-        n = 60
-        x = rng.normal(size=n)
-        z = np.arange(n) % 3
-        t = rng.exponential(1.0, n)
-        x[0], z[0] = 1000.0, 0
-        x[z == 2] -= 1.0
-        co = validate_cohort(t, np.ones(n, dtype=int), z, x[:, None])
+        # the weights fail with messages that do not say "propensity"
+        co = _far_control_cohort()
+        n = co.n
         messages = []
         for child in np.random.SeedSequence(11).spawn(20):
             sub = co.subset(np.random.default_rng(child).integers(0, n, size=n))
@@ -686,20 +734,74 @@ class TestBootstrap:
     def test_bad_scheme_is_rejected_before_resampling(
         self, boot_cohort, monkeypatch, scheme, target, message
     ):
-        def resample(self, idx):
+        # every resample is drawn from np.random.default_rng(child)
+        def resample(seed=None):
             raise AssertionError("resampled before the scheme was checked")
 
-        monkeypatch.setattr(Cohort, "subset", resample)
+        monkeypatch.setattr(np.random, "default_rng", resample)
         with pytest.raises(ValidationError, match=message):
             bootstrap_covariance(boot_cohort, scheme, 50, 0, att_target=target)
 
     def test_unstable_bootstrap_raises(self):
-        t = np.arange(1.0, 9.0)
-        d = np.ones(8, dtype=int)
-        z = np.array([0, 0, 0, 1, 0, 0, 0, 0])
-        co = validate_cohort(t, d, z)
         with pytest.raises(StudyError, match="bootstrap unstable"):
-            bootstrap_covariance(co, "unit", 40, 99, max_drop_fraction=0.01)
+            bootstrap_covariance(
+                _singleton_cohort(), "unit", 40, 99, max_drop_fraction=0.01
+            )
+
+    def test_batched_passes_split_the_draws_only(self, monkeypatch):
+        # a large cohort is fitted in several batched passes; forcing
+        # passes of 7 draws must give the draws and drops of one pass, up
+        # to rounding
+        co = _single_event_cohort()
+        one = bootstrap_covariance(co, "ow", 30, 5, max_drop_fraction=0.95)
+        monkeypatch.setattr(marginal_cox, "_BATCH_UNITS", 7 * co.n)
+        split = bootstrap_covariance(co, "ow", 30, 5, max_drop_fraction=0.95)
+        assert split.drop_reasons == one.drop_reasons
+        np.testing.assert_allclose(split.draws, one.draws, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "cohort, scheme, target, stage",
+        [
+            ("pipeline", "ipw", None, None),
+            ("pipeline", "ow", None, None),
+            ("pipeline", "att", 1, None),
+            ("pipeline", "unit", None, None),
+            ("tied", "ipw", None, None),
+            ("tied", "ow", None, None),
+            ("collinear", "ipw", None, None),
+            ("collinear", "ow", None, None),
+            ("singleton", "ipw", None, "missing_group"),
+            ("singleton", "unit", None, "missing_group"),
+            ("far_control", "ow", None, "propensity"),
+            ("far_control", "ipw", None, None),
+            ("single_event", "ipw", None, "cox"),
+            ("single_event", "ow", None, "cox"),
+        ],
+    )
+    def test_batched_draws_are_the_resample_pipeline(
+        self, request, cohort, scheme, target, stage
+    ):
+        co = {
+            "pipeline": lambda: request.getfixturevalue("pipeline_cohort"),
+            "tied": lambda: request.getfixturevalue("tied_cohort"),
+            "collinear": collinear_cohort,
+            "singleton": _singleton_cohort,
+            "far_control": _far_control_cohort,
+            "single_event": _single_event_cohort,
+        }[cohort]()
+        with warnings.catch_warnings():
+            # every draw on the collinear cohort is ridged
+            warnings.filterwarnings("ignore", "ill-conditioned", UserWarning)
+            draws, reasons = _resample_pipeline(co, scheme, 30, 5, target)
+            boot = bootstrap_covariance(
+                co, scheme, 30, 5, att_target=target, max_drop_fraction=0.95
+            )
+        assert boot.drop_reasons == reasons
+        if stage is not None:
+            assert reasons.get(stage, 0) > 0
+        # solver precision, as in
+        # test_each_bootstrap_draw_is_the_pipeline_on_its_resample
+        np.testing.assert_allclose(boot.draws, draws, rtol=0, atol=1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -766,7 +868,14 @@ class TestWeightedPipeline:
             ).estimate.tau
             for child in np.random.SeedSequence(17).spawn(6)
         ]
-        np.testing.assert_array_equal(boot.draws, np.asarray(expected))
+        # the batched fit sums the same terms as the resample fit in another
+        # order, and both solvers stop at gradient inf-norms of 1e-8
+        # (propensity) and 1e-9 (Cox, mean-one weights); as in
+        # test_reference_relabelling, each may sit off its exact root by about
+        # that gradient over the information (of order n/10 here), about
+        # 1e-10.  atol 1e-8 leaves a margin of 100 over that bound (measured:
+        # below 2e-15, rounding only).
+        np.testing.assert_allclose(boot.draws, np.asarray(expected), rtol=0, atol=1e-8)
 
     def test_trim_without_refit_keeps_gamma_on_kept_rows(self, pipeline_cohort):
         bundle = fit_weighted_mhr(

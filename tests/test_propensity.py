@@ -1,18 +1,22 @@
 """Multinomial propensity model, balancing weights, trimming, balance."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from conftest import random_survival_cohort
+from conftest import collinear_cohort, random_survival_cohort
 from wcox import (
     ConvergenceError,
     PropensityFit,
     ValidationError,
     balance_table,
+    bootstrap_covariance,
     compute_weights,
     fit_multinomial_logit,
+    fit_weighted_mhr,
     multinomial_probs,
     parse_scheme,
     propensity_histogram,
@@ -96,17 +100,31 @@ def test_fitted_probs_consistent_with_gamma():
 
 
 def test_ridge_warning_on_collinear_covariates():
-    rng = np.random.default_rng(3)
-    n = 120
-    x1 = rng.normal(size=n)
-    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.8 * x1))).astype(int)
-    co = validate_cohort(
-        np.ones(n), np.ones(n, dtype=int), z, np.column_stack([x1, 2.0 * x1])
-    )
     with pytest.warns(UserWarning, match="ill-conditioned"):
-        fit = fit_multinomial_logit(co)
+        fit = fit_multinomial_logit(collinear_cohort())
     assert fit.ridged
     assert fit.score_norm <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        fit_multinomial_logit,
+        lambda co: fit_weighted_mhr(co, "ipw"),
+        lambda co: bootstrap_covariance(co, "ipw", 10, 0),
+    ],
+    ids=["fit_multinomial_logit", "fit_weighted_mhr", "bootstrap_covariance"],
+)
+def test_ridge_warning_names_the_caller(call):
+    # the warning points at the line outside wcox that made the call, once
+    # per call, however deep in the package the ridge was taken (every
+    # bootstrap draw on this cohort is ridged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(collinear_cohort())
+    ridge = [w for w in caught if "ill-conditioned" in str(w.message)]
+    assert len(ridge) == 1
+    assert ridge[0].filename == __file__
 
 
 def test_separation_raises():
