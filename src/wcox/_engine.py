@@ -39,9 +39,15 @@ def _revcum(x: np.ndarray) -> np.ndarray:
     return (within + offsets[:, None]).ravel()[:n][::-1]
 
 
-def _cumsum(x: np.ndarray) -> np.ndarray:
-    """Forward cumulative sum with the blocked accumulation of `_revcum`."""
-    return _revcum(x[::-1])[::-1]
+def _checked_weights(time, weights) -> np.ndarray:
+    """The weights as floats, checked: one finite nonnegative weight per
+    unit of `time`."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != time.shape:
+        raise ValidationError("weights must be one per unit")
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValidationError("weights must be finite and nonnegative")
+    return weights
 
 
 class CoxProblem:
@@ -49,51 +55,22 @@ class CoxProblem:
 
     def __init__(self, time, event, design, weights):
         time = np.asarray(time, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
         design = np.asarray(design, dtype=np.float64)
         if design.ndim != 2 or design.shape[0] != time.shape[0]:
             raise ValidationError("design matrix rows must match the cohort size")
-        if weights.shape != time.shape:
-            raise ValidationError("weights must be one per unit")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValidationError("weights must be finite and nonnegative")
+        weights = _checked_weights(time, weights)
         order = np.argsort(time, kind="stable")
-        self.order = order
-        self.t = time[order]
-        self.d = np.asarray(event)[order].astype(bool)
+        t = time[order]
+        d = np.asarray(event)[order].astype(bool)
         self.Q = design[order]
         self.w = weights[order]
         self.q = design.shape[1]
-        self.n = time.shape[0]
-        # first sorted position of each tie block: risk set of a record at
-        # position k is positions starts[k]..n-1
-        self.starts = np.searchsorted(self.t, self.t, side="left")
-        ev = np.flatnonzero(self.d & (self.w > 0))
-        self.ev = ev
-        self.ev_starts = self.starts[ev]
-        self.w_ev = self.w[ev]
-        self.n_events = int(np.count_nonzero(self.d))
-
-    def _risk_sums(self, eta):
-        """r = w exp(eta), and at each weighted event the at-risk total s0
-        and the at-risk mean design row dbar, shape (events, q)."""
-        r = self.w * np.exp(eta)
-        s0 = _revcum(r)[self.ev_starts]
-        dbar = np.empty((self.ev.size, self.q))
-        for a in range(self.q):
-            dbar[:, a] = _revcum(r * self.Q[:, a])[self.ev_starts] / s0
-        return r, s0, dbar
-
-    def _information(self, r, s0, dbar):
-        info = np.empty((self.q, self.q))
-        for a in range(self.q):
-            ra = r * self.Q[:, a]
-            for b in range(a, self.q):
-                s2ab = _revcum(ra * self.Q[:, b])[self.ev_starts] / s0
-                info[a, b] = info[b, a] = float(
-                    np.sum(self.w_ev * (s2ab - dbar[:, a] * dbar[:, b]))
-                )
-        return info
+        self.ev = np.flatnonzero(d & (self.w > 0))
+        # first sorted position of each weighted event's tie block: its risk
+        # set is positions ev_starts..n-1
+        self.ev_starts = np.searchsorted(t, t[self.ev], side="left")
+        self.w_ev = self.w[self.ev]
+        self.n_events = int(np.count_nonzero(d))
 
     def quantities(self, beta):
         """Weighted partial log-likelihood, score, and information at beta.
@@ -111,40 +88,24 @@ class CoxProblem:
         # s0 can underflow to 0 for wild step-halving candidates; the
         # resulting non-finite loglik is rejected by the caller
         with np.errstate(divide="ignore", invalid="ignore"):
-            r, s0, dbar = self._risk_sums(eta - shift)
+            # at each weighted event the at-risk total s0 and the at-risk
+            # mean design row dbar, shape (events, q)
+            r = self.w * np.exp(eta - shift)
+            s0 = _revcum(r)[self.ev_starts]
+            dbar = np.empty((self.ev.size, self.q))
+            for a in range(self.q):
+                dbar[:, a] = _revcum(r * self.Q[:, a])[self.ev_starts] / s0
             loglik = float(np.sum(self.w_ev * (eta[self.ev] - shift - np.log(s0))))
             score = self.w_ev @ (self.Q[self.ev] - dbar)
-            info = self._information(r, s0, dbar)
+            info = np.empty((self.q, self.q))
+            for a in range(self.q):
+                ra = r * self.Q[:, a]
+                for b in range(a, self.q):
+                    s2ab = _revcum(ra * self.Q[:, b])[self.ev_starts] / s0
+                    info[a, b] = info[b, a] = float(
+                        np.sum(self.w_ev * (s2ab - dbar[:, a] * dbar[:, b]))
+                    )
         return loglik, score, info
-
-    def residuals(self, beta):
-        """Lin-Wei score residuals and the information at beta.
-
-        Returns (psi, psi_c, info); psi and psi_c are (n, q) in input row
-        order.  psi_i = w_i d_i (Q_i - Dbar(Y_i)) sums to the score, and
-        psi_c subtracts the risk-set term
-        w_i exp(eta_i) sum_{events e: Y_e <= Y_i} (w_e / S0(Y_e)) (Q_i - Dbar(Y_e)),
-        which sums to zero over the units.
-        """
-        beta = np.asarray(beta, dtype=np.float64)
-        eta = self.Q @ beta
-        r, s0, dbar = self._risk_sums(eta - np.max(eta))
-        psi = np.zeros((self.n, self.q))
-        psi[self.ev] = self.w_ev[:, None] * (self.Q[self.ev] - dbar)
-        # cumulative event terms over ascending event times; record k sees
-        # the events up to the end of its tie block
-        q_ev = self.w_ev / s0
-        cum_q = np.zeros(self.ev.size + 1)
-        cum_q[1:] = _cumsum(q_ev)
-        cum_qd = np.zeros((self.ev.size + 1, self.q))
-        for a in range(self.q):
-            cum_qd[1:, a] = _cumsum(q_ev * dbar[:, a])
-        upto = np.searchsorted(self.t[self.ev], self.t, side="right")
-        psi_c = psi - r[:, None] * (self.Q * cum_q[upto][:, None] - cum_qd[upto])
-        out, out_c = np.empty_like(psi), np.empty_like(psi_c)
-        out[self.order] = psi
-        out_c[self.order] = psi_c
-        return out, out_c, self._information(r, s0, dbar)
 
 
 @dataclass(frozen=True)
@@ -295,8 +256,9 @@ def _risk_tables(time, event, arm, weights, arms: int):
 
     At each distinct event time t_k, in ascending order, and arm z:
     F[b, k, z] is the weight of arm z's events at t_k and R[b, k, z] the
-    weight of arm z still at risk (time >= t_k).  Returns (F, R), each of
-    shape (B, T, arms).
+    weight of arm z still at risk (time >= t_k).  Returns (F, R, at): F
+    and R of shape (B, T, arms), and at[i] the number of event times at or
+    before time[i].
     """
     order = np.argsort(time, kind="stable")
     t = time[order]
@@ -305,14 +267,18 @@ def _risk_tables(time, event, arm, weights, arms: int):
     times, first = np.unique(t[d], return_index=True)
     f = np.add.reduceat(w[:, d], first, axis=1)
     r = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    return f, r[:, np.searchsorted(t, times, side="left")]
+    at = np.empty(t.shape, dtype=np.intp)
+    at[order] = np.searchsorted(times, t, side="right")
+    return f, r[:, np.searchsorted(t, times, side="left")], at
 
 
 def _table_quantities(tau, f_total, f_dot, r):
     """Breslow log-likelihood, score and information of the indicator
     design at tau (m, J), from the tables of `_risk_tables`: f_total (m,
     J+1) the events per arm, f_dot (m, T) the events per time and r the
-    at-risk table."""
+    at-risk table.  Then, for the score residuals, [0, tau] shifted by
+    its maximum (m, J+1) and, at each event time, the Breslow hazard jump
+    f_dot / s0 (m, T) on that shifted scale and the at-risk mean dbar."""
     full = np.concatenate([np.zeros((tau.shape[0], 1)), tau], axis=1)
     full = full - np.max(full, axis=1, keepdims=True)
     s = r * np.exp(full)[:, None, :]
@@ -326,24 +292,31 @@ def _table_quantities(tau, f_total, f_dot, r):
     weighted = f_dot[:, :, None] * dbar
     mean = weighted.sum(axis=1)
     info = mean[:, :, None] * np.eye(tau.shape[1]) - weighted.transpose(0, 2, 1) @ dbar
-    return loglik, f_total[:, 1:] - mean, info
+    return loglik, f_total[:, 1:] - mean, info, full, f_dot / s0, dbar
 
 
-def _fit_risk_tables(f, r):
+def _fit_risk_tables(time, event, arm, weights, arms: int):
     """`fit_cox` of the indicator design on the tables of `_risk_tables`,
-    one fit per leading row, with its rules: the weights must have mean
-    one, the tolerance is max(1e-9, 1024 eps (weighted events)), at most
-    50 iterations and |tau| <= 20.  Returns (tau (B, J), failed (B,))."""
+    one fit per row of `weights` (B, n), with its rules: each row is
+    rescaled to mean one, the tolerance is max(1e-9, 1024 eps (weighted
+    events)), at most 50 iterations and |tau| <= 20.  Returns (tau (B, J),
+    loglik (B,) on the raw weight scale, iterations, gnorm (the gradient
+    inf-norms on the mean-one scale), errors (a ConvergenceError or None
+    per row))."""
+    wbar = weights.sum(axis=1) / weights.shape[1]
+    f, r, _ = _risk_tables(time, event, arm, weights / wbar[:, None], arms)
     f_total = f.sum(axis=1)
     f_dot = f.sum(axis=2)
-    tol = np.maximum(1e-9, 1024.0 * np.finfo(np.float64).eps * f_total.sum(axis=1))
-    tau, _, _, _, errors = _damped_newton(
-        lambda x, rows: _table_quantities(x, f_total[rows], f_dot[rows], r[rows]),
-        np.zeros((f.shape[0], f.shape[2] - 1)),
-        tol,
+    w_ev_total = f_total.sum(axis=1)
+    tau, values, iterations, gnorm, errors = _damped_newton(
+        lambda x, rows: _table_quantities(x, f_total[rows], f_dot[rows], r[rows])[:3],
+        np.zeros((f.shape[0], arms - 1)),
+        np.maximum(1e-9, 1024.0 * np.finfo(np.float64).eps * w_ev_total),
         _COX_LIMITS,
     )
-    return tau, np.array([e is not None for e in errors], dtype=bool)
+    # the loglik picks up -log(wbar) per weighted event, scaled by wbar
+    loglik = wbar * (values[0] - np.log(wbar) * w_ev_total)
+    return tau, loglik, iterations, gnorm, errors
 
 
 def fit_cox(time, event, design, weights) -> CoxFitCore:

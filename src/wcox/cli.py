@@ -5,7 +5,8 @@ a run manifest (command, resolved configuration, SHA-256 digests of the
 input files, seed, package version) so outputs are reproducible; given
 identical inputs, flags, and seeds the outputs are byte-identical.
 Wall-clock duration, and the reasons why `fit` dropped bootstrap
-replicates, go to stderr only, keeping the output streams deterministic.
+replicates and `simulate` study replicates, go to stderr only, keeping
+the output streams deterministic.
 
 Exit codes: 0 success, 2 validation or input error, 3 solver
 nonconvergence or separation, 4 simulation study abort.
@@ -450,6 +451,12 @@ def _cmd_simulate(args) -> int:
         report = run_study(dataclasses.replace(base, psi=psi, censoring=cens))
         reports.append(report)
         sys.stdout.write(report.format_table())
+        for reason, count in report.failure_reasons.items():
+            print(
+                f"wcox: cell {psi:g}/{cens:g}: {count} of {report.config.replicates} "
+                f"replicates failed with {reason}",
+                file=sys.stderr,
+            )
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             for k, report in enumerate(reports):

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from ._engine import CoxProblem, _fit_risk_tables, _risk_tables, fit_cox
+from ._engine import _checked_weights, _fit_risk_tables, _risk_tables, _table_quantities
 from .data_model import (
     Cohort,
     ConvergenceError,
@@ -60,17 +60,18 @@ def _check_alignment(cohort: Cohort, weights: WeightSet):
         raise ValidationError("weights must align with the cohort")
 
 
-def _indicator_problem(cohort: Cohort, weights: WeightSet, tau):
-    """The weighted Cox problem of the indicator design, and tau as floats."""
+def _tables_at(cohort: Cohort, weights: WeightSet, tau):
+    """The checked weights, the event-time counts `at` of the units and the
+    `_table_quantities` at tau of the cohort's `_risk_tables`."""
     _check_alignment(cohort, weights)
     tau = np.asarray(tau, dtype=np.float64)
     j = cohort.n_treatments
     if tau.shape != (j,):
         raise ValidationError(f"tau must have one component per group, shape ({j},)")
-    prob = CoxProblem(
-        cohort.time, cohort.event, _indicators(cohort.treatment, j), weights.weights
-    )
-    return prob, tau
+    w = _checked_weights(cohort.time, weights.weights)
+    f, r, at = _risk_tables(cohort.time, cohort.event, cohort.treatment, w[None], j + 1)
+    values = _table_quantities(tau[None], f.sum(axis=1), f.sum(axis=2), r)
+    return w, at, [v[0] for v in values]
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,8 @@ def evaluate_score(cohort: Cohort, weights: WeightSet, tau) -> ScoreResult:
     Degree-1 homogeneous in the weights: scaling all weights by c > 0
     scales the score by c and leaves the root unchanged.
     """
-    prob, tau = _indicator_problem(cohort, weights, tau)
-    loglik, score, info = prob.quantities(tau)
-    return ScoreResult(score=score, loglik=loglik, info=info)
+    _, _, (loglik, score, info, *_) = _tables_at(cohort, weights, tau)
+    return ScoreResult(score=score, loglik=float(loglik), info=info)
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,10 @@ class MhrEstimate:
 def fit_mhr(cohort: Cohort, weights: WeightSet) -> MhrEstimate:
     """Point estimate of the log marginal hazard ratios.
 
-    Newton-Raphson from tau = 0 with step-halving (`fit_cox`); the
-    gradient tolerance 1e-9 is applied on a mean-one weight scale so the
-    iterate sequence is invariant to positive rescaling of the weights.
+    Newton-Raphson from tau = 0 with step-halving on the event and
+    at-risk tables (`_engine._fit_risk_tables`, with `fit_cox`'s rules);
+    the gradient tolerance 1e-9 is applied on a mean-one weight scale so
+    the iterate sequence is invariant to positive rescaling of the weights.
 
     Raises
     ------
@@ -154,18 +155,23 @@ def fit_mhr(cohort: Cohort, weights: WeightSet) -> MhrEstimate:
             f"no observed events in group(s) {empty}: "
             "the marginal hazard ratio diverges (monotone likelihood)"
         )
-    core = fit_cox(
-        cohort.time,
-        cohort.event,
-        _indicators(cohort.treatment, j),
-        weights.weights,
+    wbar = float(np.mean(weights.weights, dtype=np.float64))
+    if not np.isfinite(wbar) or wbar <= 0.0:
+        raise ValidationError("weights must have a positive, finite mean")
+    w = _checked_weights(cohort.time, weights.weights)
+    if not np.any(w[cohort.event == 1] > 0.0):
+        raise ValidationError("all events carry zero weight")
+    tau, loglik, iterations, gnorm, errors = _fit_risk_tables(
+        cohort.time, cohort.event, cohort.treatment, w[None], j + 1
     )
+    if errors[0] is not None:
+        raise errors[0]
     return MhrEstimate(
-        tau=core.beta,
+        tau=tau[0],
         treatment_labels=cohort.treatment_labels,
-        loglik=core.loglik,
-        iterations=core.iterations,
-        score_norm=core.score_norm,
+        loglik=float(loglik[0]),
+        iterations=int(iterations[0]),
+        score_norm=float(gnorm[0]),
         n=cohort.n,
         n_events=int(np.sum(cohort.event)),
         scheme=weights.scheme,
@@ -226,13 +232,25 @@ def stacked_pieces(
     each divided by n.  a_tg = -(1/n) psi_c' (d log w / d gamma), because
     the tau-score moves with each weight as dU/dw_l = psi_c_l / w_l.
     a_gt is exactly zero.  With psfit=None the weights are treated as
-    known and the gamma blocks are empty.  psi, psi_c and a_tt come from
-    one sorted pass (`CoxProblem.residuals`).
+    known and the gamma blocks are empty.
+
+    psi, psi_c and a_tt come from the event and at-risk tables (F, R) at
+    the event times t: with dL(t) = F.(t) / S0(t) the Breslow hazard
+    jumps, psi_c_i = psi_i - w_i e^{tau_{z_i}} (D_i C0(Y_i) - C1(Y_i)),
+    where C0 and C1 sum dL and dL Dbar over t <= Y_i, and
+    n a_tt = sum_t F.(t) (diag Dbar(t) - Dbar(t) Dbar(t)').
     """
-    prob, tau = _indicator_problem(cohort, weights, tau)
+    w, at, (_, _, info, full, jump, dbar) = _tables_at(cohort, weights, tau)
     n = cohort.n
     j = cohort.n_treatments
-    psi, psi_c, info = prob.residuals(tau)
+    c0 = np.concatenate([[0.0], np.cumsum(jump)])[at]
+    c1 = np.concatenate([np.zeros((1, j)), np.cumsum(jump[:, None] * dbar, axis=0)])[at]
+    d = _indicators(cohort.treatment, j)
+    ev = np.flatnonzero(cohort.event == 1)
+    psi = np.zeros((n, j))
+    # an event unit's own time is the at-th event time
+    psi[ev] = w[ev, None] * (d[ev] - dbar[at[ev] - 1])
+    psi_c = psi - (w * np.exp(full)[cohort.treatment])[:, None] * (d * c0[:, None] - c1)
     a_tt = info / n
 
     if psfit is None:
@@ -244,8 +262,7 @@ def stacked_pieces(
             a_tg=np.zeros((j, 0)),
             a_gg=np.zeros((0, 0)),
         )
-    onehot = _indicators(cohort.treatment, psfit.n_treatments)
-    resid = onehot - psfit.probs[:, 1:]
+    resid = d - psfit.probs[:, 1:]
     pi = (resid[:, :, None] * psfit.design[:, None, :]).reshape(n, -1)
     a_gg = multinomial_information(psfit.probs, psfit.design) / n
     a_tg = -(psi_c.T @ _log_weight_gradient(psfit, weights, cohort.treatment)) / n
@@ -351,12 +368,10 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
     rows = np.flatnonzero(stage == 0)
     tau = np.zeros((counts.shape[0], j))
     if rows.size:
-        # fit_cox rescales each resample's weights to mean one
-        w = weights[rows]
-        w /= (w.sum(axis=1) / cohort.n)[:, None]
-        f, r = _risk_tables(cohort.time, cohort.event, cohort.treatment, w, j + 1)
-        tau[rows], failed = _fit_risk_tables(f, r)
-        stage[rows[failed]] = 3
+        tau[rows], _, _, _, errors = _fit_risk_tables(
+            cohort.time, cohort.event, cohort.treatment, weights[rows], j + 1
+        )
+        stage[rows[[e is not None for e in errors]]] = 3
     return tau, stage, ridged
 
 
@@ -441,7 +456,7 @@ def confidence_intervals(estimate: MhrEstimate, level: float = 0.95) -> np.ndarr
         raise ValidationError("estimate has no covariance attached")
     if not (0.0 < level < 1.0):
         raise ValidationError("confidence level must lie in (0, 1)")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     se = estimate.se
     return np.column_stack(
         [

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._engine import fit_cox
 from .data_model import (
@@ -678,7 +678,7 @@ def run_study(
 
     j = targets["ipw"].shape[0]
     labels = _design(config.setting).labels
-    z95 = norm.ppf(0.975)
+    z95 = ndtri(0.975)
     rows = []
     for method in _METHODS:
         taus = np.vstack([ok[0][method] for ok in oks])

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcox
 import wcox.cli
 import wcox.simulation
 from conftest import random_survival_cohort
@@ -600,6 +605,37 @@ class TestSimulate:
         )
         assert code == 4
         assert "study aborted" in capsys.readouterr().err
+
+    def test_failed_replicates_are_explained_on_stderr(self, capsys, monkeypatch):
+        # at n = 60 one of 40 replicates fails (its bootstrap is unstable),
+        # which stays under the 5% abort limit
+        monkeypatch.setattr(wcox.simulation, "true_estimand", _fake_estimand)
+        argv = ["simulate", "--setting", "multi3", "--n", "60",
+                "--replicates", "40", "--bootstrap-B", "8", "--seed", "1"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads("{" + out.split("\n{", 1)[1])
+        assert payload["failed_replicates"] == {"1/0.25": 1}
+        lines = [line for line in err.splitlines() if "replicates failed" in line]
+        assert lines == [
+            "wcox: cell 1/0.25: 1 of 40 replicates failed with StudyError: "
+            "bootstrap unstable: 3 of 8 replicates dropped ({'propensity': 3})"
+        ]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time of every CLI process
+    src = str(Path(wcox.__file__).resolve().parent.parent)
+    probe = "import sys, wcox.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestEstimandCommand:

@@ -33,7 +33,10 @@ from wcox import (
     validate_cohort,
 )
 from wcox import marginal_cox
+from wcox._engine import _risk_tables, fit_cox
+from wcox.data_model import _indicators
 from wcox.propensity import _weigh
+from wcox.weighted_km import weighted_km
 
 
 def _unit_weights(cohort):
@@ -608,6 +611,49 @@ class TestSandwichInvariances:
         assert np.min(np.diag(meat_gap)) > 0.0
 
 
+class TestTablePath:
+    def test_fit_mhr_matches_the_general_engine(self, tied_cohort):
+        # fit_mhr runs Newton on the event and at-risk tables, fit_cox on
+        # the per-row indicator design: the same partial likelihood summed
+        # in another order.  Both stop at a gradient inf-norm of 1e-9 on
+        # mean-one weights, so, as in test_reference_relabelling, each may
+        # sit off the exact root by that gradient over the information (of
+        # order n/10 here), about 1e-10; atol 1e-8 leaves a margin of 100
+        # over that bound (measured: below 4e-15, rounding only).
+        rng = np.random.default_rng(51)
+        cohorts = {"four-unit": _four_unit_cohort(), "tied": tied_cohort}
+        for j in (1, 2, 3):
+            cohorts[f"random J={j}"] = random_survival_cohort(rng, n=150, j=j, p=2)
+        schemes = (("ipw", None), ("ow", None), ("att", 1), ("unit", None))
+        for (name, co), (scheme, target) in itertools.product(cohorts.items(), schemes):
+            label = f"{name} cohort, {scheme} {target}"
+            _, _, w, _ = _weigh(co, scheme, target)
+            est = fit_mhr(co, w)
+            core = fit_cox(
+                co.time, co.event, _indicators(co.treatment, co.n_treatments), w.weights
+            )
+            np.testing.assert_allclose(est.tau, core.beta, rtol=0, atol=1e-8, err_msg=label)
+            np.testing.assert_allclose(est.loglik, core.loglik, rtol=1e-12, err_msg=label)
+            assert est.iterations == core.iterations, label
+
+    def test_weighted_km_counts_the_same_tables(self, tied_cohort):
+        co = tied_cohort
+        _, _, w, _ = _weigh(co, "ipw")
+        f, r, _ = _risk_tables(
+            co.time, co.event, co.treatment, w.weights[None], co.n_treatments + 1
+        )
+        times = np.unique(co.time[co.event == 1])
+        for g in range(co.n_treatments + 1):
+            curve = weighted_km(co, w, g)
+            k = np.searchsorted(times, curve.times[1:])
+            np.testing.assert_array_equal(times[k], curve.times[1:])
+            # the group's event times are the times where its F column is
+            # positive
+            np.testing.assert_array_equal(k, np.flatnonzero(f[0, :, g] > 0.0))
+            np.testing.assert_allclose(curve.weighted_events[1:], f[0, k, g], rtol=1e-12)
+            np.testing.assert_allclose(curve.weighted_at_risk[1:], r[0, k, g], rtol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def boot_cohort():
     return random_survival_cohort(np.random.default_rng(30), n=70, j=1, p=2)
@@ -648,8 +694,10 @@ def _single_event_cohort():
 def _resample_pipeline(co, scheme, n_boot, seed, att_target=None):
     """The per-resample pipeline that bootstrap_covariance batches: each
     resample is materialised with Cohort.subset and goes through the
-    weighting stage, then fit_mhr; a failure is filed under the stage that
-    raised it.  Returns (draws, drop reasons)."""
+    weighting stage, then fit_mhr's group-event check and the general
+    per-row engine (fit_cox on the indicator design), so that the batched
+    table fit is checked against independent code; a failure is filed
+    under the stage that raised it.  Returns (draws, drop reasons)."""
     draws, reasons = [], {}
     for child in np.random.SeedSequence(seed).spawn(n_boot):
         sub = co.subset(np.random.default_rng(child).integers(0, co.n, size=co.n))
@@ -661,11 +709,16 @@ def _resample_pipeline(co, scheme, n_boot, seed, att_target=None):
             except (ConvergenceError, ValidationError):
                 stage = "propensity"
             else:
+                j = sub.n_treatments
+                events = np.bincount(sub.treatment[sub.event == 1], minlength=j + 1)
                 try:
-                    draws.append(fit_mhr(sub, w).tau)
-                    continue
+                    if np.all(events > 0):
+                        design = _indicators(sub.treatment, j)
+                        draws.append(fit_cox(sub.time, sub.event, design, w.weights).beta)
+                        continue
                 except (ConvergenceError, ValidationError):
-                    stage = "cox"
+                    pass
+                stage = "cox"
         reasons[stage] = reasons.get(stage, 0) + 1
     return np.asarray(draws), reasons
 
