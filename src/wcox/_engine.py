@@ -256,20 +256,20 @@ def _risk_tables(time, event, arm, weights, arms: int):
 
     At each distinct event time t_k, in ascending order, and arm z:
     F[b, k, z] is the weight of arm z's events at t_k and R[b, k, z] the
-    weight of arm z still at risk (time >= t_k).  Returns (F, R, at): F
-    and R of shape (B, T, arms), and at[i] the number of event times at or
-    before time[i].
+    weight of arm z still at risk (time >= t_k).  Returns (F, R, times): F
+    and R of shape (B, T, arms), and times the T event times.
     """
     order = np.argsort(time, kind="stable")
     t = time[order]
     d = np.asarray(event)[order].astype(bool)
     w = weights[:, order, None] * (arm[order, None] == np.arange(arms))
-    times, first = np.unique(t[d], return_index=True)
+    t_ev = t[d]
+    # the event times are sorted: a tie block starts where the time changes
+    first = np.flatnonzero(np.diff(t_ev, prepend=-np.inf))
+    times = t_ev[first]
     f = np.add.reduceat(w[:, d], first, axis=1)
     r = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    at = np.empty(t.shape, dtype=np.intp)
-    at[order] = np.searchsorted(times, t, side="right")
-    return f, r[:, np.searchsorted(t, times, side="left")], at
+    return f, r[:, np.searchsorted(t, times, side="left")], times
 
 
 def _table_quantities(tau, f_total, f_dot, r):

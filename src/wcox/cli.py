@@ -448,7 +448,9 @@ def _cmd_simulate(args) -> int:
         cells = [(base.psi, base.censoring)]
     reports = []
     for psi, cens in cells:
-        report = run_study(dataclasses.replace(base, psi=psi, censoring=cens))
+        # tau* depends on psi but not on the censoring level
+        known = next((r.estimands for r in reports if r.config.psi == psi), None)
+        report = run_study(dataclasses.replace(base, psi=psi, censoring=cens), known)
         reports.append(report)
         sys.stdout.write(report.format_table())
         for reason, count in report.failure_reasons.items():

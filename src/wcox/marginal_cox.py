@@ -61,15 +61,19 @@ def _check_alignment(cohort: Cohort, weights: WeightSet):
 
 
 def _tables_at(cohort: Cohort, weights: WeightSet, tau):
-    """The checked weights, the event-time counts `at` of the units and the
+    """The checked weights, the event-time counts `at` of the units (the
+    number of event times at or before each unit's time) and the
     `_table_quantities` at tau of the cohort's `_risk_tables`."""
     _check_alignment(cohort, weights)
     tau = np.asarray(tau, dtype=np.float64)
     j = cohort.n_treatments
     if tau.shape != (j,):
         raise ValidationError(f"tau must have one component per group, shape ({j},)")
+    if not np.all(np.isfinite(tau)):
+        raise ValidationError("tau must be finite")
     w = _checked_weights(cohort.time, weights.weights)
-    f, r, at = _risk_tables(cohort.time, cohort.event, cohort.treatment, w[None], j + 1)
+    f, r, times = _risk_tables(cohort.time, cohort.event, cohort.treatment, w[None], j + 1)
+    at = np.searchsorted(times, cohort.time, side="right")
     values = _table_quantities(tau[None], f.sum(axis=1), f.sum(axis=2), r)
     return w, at, [v[0] for v in values]
 
@@ -356,13 +360,13 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
     ridged = False
     rows = np.flatnonzero(stage == 0)
     if scheme != "unit" and rows.size:
-        probs, failed, ridged_rows = _fit_counts(cohort, counts[rows])
+        _, _, probs, _, _, _, errors, ridged_rows = _fit_counts(cohort, counts[rows])
         ridged = bool(ridged_rows.any())
         w, bad = _count_weights(
             probs, cohort.treatment, counts[rows] > 0, scheme, att_target
         )
         weights[rows] *= w
-        stage[rows[failed | bad]] = 2
+        stage[rows[bad | [e is not None for e in errors]]] = 2
     no_events = np.any((counts * cohort.event) @ arm == 0.0, axis=1)
     stage[(stage == 0) & no_events] = 3
     rows = np.flatnonzero(stage == 0)

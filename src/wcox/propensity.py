@@ -19,9 +19,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._engine import _damped_newton, _NewtonLimits, _one_row
+from ._engine import _damped_newton, _NewtonLimits
 from .data_model import Cohort, ValidationError, _indicators, _readonly
 
 __all__ = [
@@ -96,17 +95,6 @@ class PropensityFit:
         return self.gamma.shape[0]
 
 
-def _multinomial_quantities(gamma, xt, onehot):
-    n = xt.shape[0]
-    logits = np.column_stack([np.zeros(n), xt @ gamma.T])
-    lse = logsumexp(logits, axis=1)
-    loglik = float(np.sum((onehot * logits[:, 1:]).sum(axis=1) - lse))
-    probs = np.exp(logits - lse[:, None])
-    resid = onehot - probs[:, 1:]
-    score = (resid.T @ xt).ravel()
-    return loglik, score, multinomial_information(probs, xt), probs
-
-
 _RIDGE = 1e-8
 _CONDITION_LIMIT = 1e12
 _PROPENSITY_LIMITS = _NewtonLimits(
@@ -161,54 +149,62 @@ def fit_multinomial_logit(cohort: Cohort) -> PropensityFit:
         On iteration exhaustion, failed step-halving, or quasi-separation
         (any coefficient beyond 30 in absolute value).
     """
-    j = cohort.n_treatments
-    if j < 1:
+    if cohort.n_treatments < 1:
         raise ValidationError("at least two treatment groups are required")
-    xt = _design(cohort.covariates)
-    d = xt.shape[1]
-    onehot = _indicators(cohort.treatment, j)
-    ridged = False
-
-    def regularize(info, _):
-        nonlocal ridged
-        info, bad = _ridge(info)
-        if bad.any() and not ridged:
-            ridged = True
-            _warn_ridge()
-        return info
-
-    theta, values, iterations, gnorm, errors = _damped_newton(
-        lambda th, _: _one_row(_multinomial_quantities(th[0].reshape(j, d), xt, onehot)),
-        np.zeros((1, j * d)),
-        1e-8,
-        _PROPENSITY_LIMITS,
-        regularize,
+    xt, gamma, probs, loglik, iterations, gnorm, errors, ridged = _fit_counts(
+        cohort, np.ones((1, cohort.n))
     )
+    if ridged[0]:
+        _warn_ridge()
     if errors[0] is not None:
         raise errors[0]
-    probs = values[3][0].copy()
-    probs.setflags(write=False)
-    gamma = theta[0].reshape(j, d).copy()
-    gamma.setflags(write=False)
     return PropensityFit(
-        gamma=gamma,
-        probs=probs,
+        gamma=_readonly(gamma[0]),
+        probs=_readonly(probs[0]),
         design=xt,
-        loglik=float(values[0][0]),
+        loglik=float(loglik[0]),
         iterations=int(iterations[0]),
         score_norm=float(gnorm[0]),
-        ridged=ridged,
+        ridged=bool(ridged[0]),
     )
 
 
-def _count_quantities(theta, xt, onehot, xx, counts):
-    """`_multinomial_quantities` of a stack of fits, each weighting the
-    units by one row of `counts` (frequency weights).
+# design rows per product of the information blocks; bounds the (rows,
+# (p+1)^2) array of their outer products
+_CHUNK = 1 << 14
 
-    theta (m, J(p+1)), counts (m, n), onehot (J, n) and xx (n, (p+1)^2)
-    the row-wise outer products of the design.  The probabilities come
-    back as (m, J+1, n), and the information blocks of all fits are one
-    product of the coefficients c e_a (1{a=b} - e_b) with xx.
+
+def _information(ce, e, xt):
+    """Information matrices of a stack of fits, shape (m, J(p+1), J(p+1)).
+
+    ce (m, J, n) holds the count-weighted probabilities of groups 1..J and
+    e (m, J, n) the probabilities.  Block (a, b) of fit k is
+    sum_i ce[k, a, i] (1{a=b} - e[k, b, i]) x_i x_i', in the gamma.ravel()
+    parameter order: per chunk of `_CHUNK` units, one product of the
+    coefficients of all blocks of all fits with the outer products of the
+    design rows.
+    """
+    m, j, n = e.shape
+    d = xt.shape[1]
+    diag = np.arange(j)
+    blocks = np.zeros((m * j * j, d * d))
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        coefs = -ce[:, :, None, rows] * e[:, None, :, rows]
+        coefs[:, diag, diag] += ce[:, :, rows]
+        x = xt[rows]
+        xx = (x[:, :, None] * x[:, None]).reshape(-1, d * d)
+        blocks += coefs.reshape(m * j * j, -1) @ xx
+    return blocks.reshape(m, j, j, d, d).transpose(0, 1, 3, 2, 4).reshape(m, j * d, j * d)
+
+
+def _count_quantities(theta, xt, onehot, counts):
+    """Log-likelihood, score, information and probabilities of a stack of
+    multinomial-logit fits, each weighting the units by one row of
+    `counts` (frequency weights).
+
+    theta (m, J(p+1)), counts (m, n) and onehot (J, n).  The
+    probabilities come back as (m, J+1, n).
     """
     m = theta.shape[0]
     n, d = xt.shape
@@ -223,25 +219,21 @@ def _count_quantities(theta, xt, onehot, xx, counts):
     loglik = np.sum(counts * ((onehot * logits[:, 1:]).sum(axis=1) - lse), axis=1)
     ce = counts[:, None] * probs[:, 1:]
     score = ((counts[:, None] * onehot - ce) @ xt).reshape(m, j * d)
-    coefs = -ce[:, :, None] * probs[:, None, 1:]
-    coefs[:, np.arange(j), np.arange(j)] += ce
-    blocks = coefs.reshape(m * j * j, n) @ xx
-    info = blocks.reshape(m, j, j, d, d).transpose(0, 1, 3, 2, 4).reshape(m, j * d, j * d)
-    return loglik, score, info, probs
+    return loglik, score, _information(ce, probs[:, 1:], xt), probs
 
 
 def _fit_counts(cohort: Cohort, counts):
-    """Propensity fits of the cohort under each row of `counts` (B, n) as
-    frequency weights, with the rules of `fit_multinomial_logit`.
+    """Multinomial-logit fits of the cohort, one per row of `counts` (B, n)
+    of frequency weights, with the rules of `fit_multinomial_logit`.
 
-    Returns (probs (B, n, J+1), failed (B,), ridged (B,)); a failed fit is
-    one that `fit_multinomial_logit` on the resample would raise on.
+    Returns (design (n, p+1), gamma (B, J, p+1), probs (B, n, J+1),
+    loglik (B,), iterations (B,), gnorm (B,), errors, ridged (B,)): errors
+    holds the ConvergenceError that stopped each row, or None.
     """
     j = cohort.n_treatments
     xt = _design(cohort.covariates)
     d = xt.shape[1]
     onehot = _indicators(cohort.treatment, j).T
-    xx = (xt[:, :, None] * xt[:, None, :]).reshape(xt.shape[0], d * d)
     ridged = np.zeros(len(counts), dtype=bool)
 
     def regularize(info, rows):
@@ -249,15 +241,16 @@ def _fit_counts(cohort: Cohort, counts):
         ridged[rows[bad]] = True
         return info
 
-    _, values, _, _, errors = _damped_newton(
-        lambda th, rows: _count_quantities(th, xt, onehot, xx, counts[rows]),
+    theta, values, iterations, gnorm, errors = _damped_newton(
+        lambda th, rows: _count_quantities(th, xt, onehot, counts[rows]),
         np.zeros((len(counts), j * d)),
         1e-8,
         _PROPENSITY_LIMITS,
         regularize,
     )
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    return values[3].transpose(0, 2, 1), failed, ridged
+    gamma = theta.reshape(len(counts), j, d)
+    probs = values[3].transpose(0, 2, 1)
+    return xt, gamma, probs, values[0], iterations, gnorm, errors, ridged
 
 
 def multinomial_information(probs: np.ndarray, design: np.ndarray) -> np.ndarray:
@@ -266,19 +259,8 @@ def multinomial_information(probs: np.ndarray, design: np.ndarray) -> np.ndarray
     Block (a, b) is design' diag(e_a (1{a=b} - e_b)) design in the
     gamma.ravel() parameter order.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    design = np.asarray(design, dtype=np.float64)
-    j = probs.shape[1] - 1
-    d = design.shape[1]
-    e = probs[:, 1:]
-    info = np.empty((j * d, j * d))
-    for a in range(j):
-        for b in range(a, j):
-            c = e[:, a] * ((1.0 if a == b else 0.0) - e[:, b])
-            block = design.T @ (c[:, None] * design)
-            info[a * d : (a + 1) * d, b * d : (b + 1) * d] = block
-            info[b * d : (b + 1) * d, a * d : (a + 1) * d] = block.T
-    return info
+    e = np.asarray(probs, dtype=np.float64)[:, 1:].T[None]
+    return _information(e, e, np.asarray(design, dtype=np.float64))[0]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Shared generators and brute-force references for the test suite."""
 
 import numpy as np
+from scipy.special import logsumexp
 
 from wcox import validate_cohort
 
@@ -44,6 +45,15 @@ def collinear_cohort():
     return validate_cohort(
         np.ones(n), np.ones(n, dtype=int), z, np.column_stack([x1, 2.0 * x1])
     )
+
+
+def multinomial_loglik(gamma_flat, x, z, j):
+    """Multinomial log-likelihood written from scratch (reference only)."""
+    n, p = x.shape
+    gamma = gamma_flat.reshape(j, p + 1)
+    xt = np.column_stack([np.ones(n), x])
+    logits = np.column_stack([np.zeros(n), xt @ gamma.T])
+    return float(np.sum(logits[np.arange(n), z] - logsumexp(logits, axis=1)))
 
 
 def brute_partial_loglik(time, event, treatment, weights, tau):

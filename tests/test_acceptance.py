@@ -22,10 +22,10 @@ import time
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from conftest import (
     brute_partial_loglik,
+    multinomial_loglik,
     python_km_reference,
     random_survival_cohort,
     stacked_bread_meat,
@@ -302,14 +302,6 @@ def test_calibrated_event_rates_at_unit_time():
     )
 
 
-def _multinomial_loglik(gamma_flat, x, z, j):
-    n, p = x.shape
-    gamma = gamma_flat.reshape(j, p + 1)
-    xt = np.column_stack([np.ones(n), x])
-    logits = np.column_stack([np.zeros(n), xt @ gamma.T])
-    return float(np.sum(logits[np.arange(n), z] - logsumexp(logits, axis=1)))
-
-
 def test_oracle_equivalence_suite():
     # unit-weight fits against derivative-free partial-likelihood
     # maximization
@@ -348,7 +340,7 @@ def test_oracle_equivalence_suite():
         co = random_survival_cohort(rng, n=n, j=j, p=p)
         fit = fit_multinomial_logit(co)
         res = minimize(
-            lambda g: -_multinomial_loglik(g, co.covariates, co.treatment, j),
+            lambda g: -multinomial_loglik(g, co.covariates, co.treatment, j),
             np.zeros(j * (p + 1)),
             method="Powell",
             options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 20000},

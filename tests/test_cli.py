@@ -622,6 +622,37 @@ class TestSimulate:
             "bootstrap unstable: 3 of 8 replicates dropped ({'propensity': 3})"
         ]
 
+    def test_full_grid_computes_each_estimand_once(self, capsys, monkeypatch):
+        # tau* depends on psi but not on the censoring level; the
+        # calibrations and the replicates are stubbed, so only the calls
+        # are counted
+        calls = []
+
+        def counting_estimand(setting, scheme, psi, *args, **kwargs):
+            calls.append((scheme, psi))
+            return _fake_estimand(setting, scheme, psi, *args, **kwargs)
+
+        estimates = tuple(
+            {m: np.full(2, v) for m in wcox.simulation._METHODS} for v in (0.1, 0.2, 0.2)
+        )
+        monkeypatch.setattr(wcox.simulation, "true_estimand", counting_estimand)
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", lambda *a: np.zeros(2))
+        monkeypatch.setattr(wcox.simulation, "calibrate_censoring", lambda *a: 0.1)
+        monkeypatch.setattr(wcox.simulation, "_replicate_estimates", lambda *a: estimates)
+        monkeypatch.setenv("WCOX_THREADS", "1")
+        argv = ["simulate", "--setting", "multi3", "--full-grid", "--replicates", "2"]
+        assert main(argv) == 0
+        assert sorted(calls) == [
+            (scheme, psi) for scheme in ("ipw", "ow") for psi in (1.0, 2.0, 3.0)
+        ]
+        payload = json.loads("{" + capsys.readouterr().out.split("\n{", 1)[1])
+        assert set(payload["estimands"]) == {
+            f"{psi}:{scheme}" for psi in (1, 2, 3) for scheme in ("ipw", "ow")
+        }
+        assert payload["failed_replicates"] == {
+            f"{psi}/{cens}": 0 for cens in (0.25, 0.5) for psi in (1, 2, 3)
+        }
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats is most of the import time of every CLI process

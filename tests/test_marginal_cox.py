@@ -167,6 +167,16 @@ class TestScoreProperties:
         with pytest.raises(ValidationError, match="one component per group"):
             evaluate_score(co, _unit_weights(co), [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("call", [evaluate_score, stacked_pieces, sandwich_covariance])
+    def test_non_finite_tau_rejected(self, call, bad):
+        co = _four_unit_cohort()
+        args = (co, _unit_weights(co), [bad])
+        if call is not evaluate_score:
+            args = (co, None) + args[1:]
+        with pytest.raises(ValidationError, match="tau must be finite"):
+            call(*args)
+
     def test_weight_alignment_validated(self):
         co = _four_unit_cohort()
         other = validate_cohort([1, 2, 3], [1, 1, 1], [0, 1, 0])

@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
-from conftest import collinear_cohort, random_survival_cohort
+from conftest import collinear_cohort, multinomial_loglik, random_survival_cohort
 from wcox import (
     ConvergenceError,
     PropensityFit,
@@ -23,16 +22,8 @@ from wcox import (
     trim,
     validate_cohort,
 )
-from wcox.propensity import _unit_weights
-
-
-def _independent_loglik(gamma_flat, x, z, j):
-    """Multinomial log-likelihood written from scratch (reference only)."""
-    n, p = x.shape
-    gamma = gamma_flat.reshape(j, p + 1)
-    xt = np.column_stack([np.ones(n), x])
-    logits = np.column_stack([np.zeros(n), xt @ gamma.T])
-    return float(np.sum(logits[np.arange(n), z] - logsumexp(logits, axis=1)))
+from wcox import propensity
+from wcox.propensity import _unit_weights, multinomial_information
 
 
 def test_probs_uniform_at_zero_coefficients():
@@ -78,7 +69,7 @@ def test_mle_matches_derivative_free_maximization():
         fit = fit_multinomial_logit(co)
         assert fit.score_norm <= 1e-8
         res = minimize(
-            lambda g: -_independent_loglik(g, co.covariates, co.treatment, j),
+            lambda g: -multinomial_loglik(g, co.covariates, co.treatment, j),
             np.zeros(j * (p + 1)),
             method="Powell",
             options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 20000},
@@ -96,6 +87,42 @@ def test_fitted_probs_consistent_with_gamma():
     fit = fit_multinomial_logit(co)
     np.testing.assert_allclose(
         fit.probs, multinomial_probs(fit.gamma, co.covariates), atol=1e-12
+    )
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_cohort():
+    # more units than one chunk of the information products
+    co = random_survival_cohort(np.random.default_rng(13), n=50_000, j=2, p=2)
+    assert co.n > 3 * propensity._CHUNK
+    return co
+
+
+def test_information_matches_per_unit_sum(multi_chunk_cohort):
+    co = multi_chunk_cohort
+    fit = fit_multinomial_logit(co)
+    e = fit.probs[:, 1:]
+    # per unit, (diag e - e e') (x) x x' in the gamma.ravel() order
+    cov = np.einsum("ia,ab->iab", e, np.eye(e.shape[1])) - np.einsum("ia,ib->iab", e, e)
+    xx = np.einsum("ir,ic->irc", fit.design, fit.design)
+    d = fit.design.shape[1]
+    expected = np.einsum("iab,irc->arbc", cov, xx).reshape(e.shape[1] * d, -1)
+    np.testing.assert_allclose(
+        multinomial_information(fit.probs, fit.design), expected, rtol=1e-12
+    )
+
+
+def test_fit_is_invariant_to_row_order(multi_chunk_cohort):
+    co = multi_chunk_cohort
+    perm = np.random.default_rng(14).permutation(co.n)
+    shuffled = validate_cohort(
+        co.time[perm], co.event[perm], co.treatment[perm], co.covariates[perm]
+    )
+    np.testing.assert_allclose(
+        fit_multinomial_logit(shuffled).gamma,
+        fit_multinomial_logit(co).gamma,
+        rtol=0,
+        atol=1e-10,
     )
 
 
