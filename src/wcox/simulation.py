@@ -31,7 +31,13 @@ from .data_model import (
     factorial_treatment_labels,
 )
 from .marginal_cox import bootstrap_covariance, fit_mhr, sandwich_covariance
-from .propensity import _softmax, _tilt, compute_weights, fit_multinomial_logit
+from .propensity import (
+    _CHUNK,
+    _softmax,
+    _tilt,
+    compute_weights,
+    fit_multinomial_logit,
+)
 
 __all__ = [
     "B_COEF",
@@ -85,13 +91,22 @@ class _Design:
     loadings: tuple[tuple[float, str], ...]
     intercepts: tuple[int, ...]
 
+    def offsets(self, alpha) -> np.ndarray:
+        """The intercept of each non-reference group, (groups - 1,)."""
+        a = np.asarray(alpha, dtype=np.float64).reshape(-1)
+        want = max(self.intercepts) + 1
+        if a.size != want:
+            raise ValidationError(f"alpha must hold {want} intercept(s), got {a.size}")
+        return a[list(self.intercepts)]
+
     def scaled_loadings(self, x: np.ndarray, psi: float) -> np.ndarray:
-        """psi * sign * x'v, (n, groups - 1): one matrix-vector product per v,
-        signed afterwards, so each column is +-psi v'x bit for bit (a
-        matrix-matrix product may sum in another order)."""
+        """psi * sign * x'v, (groups - 1, n) and C-contiguous: one
+        matrix-vector product per v, signed afterwards, so each row is
+        +-psi v'x bit for bit (a matrix-matrix product may sum in another
+        order)."""
         keys = {key for _, key in self.loadings}
         u = {key: psi * (x @ _LOADINGS[key]) for key in keys}
-        return np.column_stack([sign * u[key] for sign, key in self.loadings])
+        return np.stack([sign * u[key] for sign, key in self.loadings])
 
 
 _DESIGNS = {
@@ -120,6 +135,11 @@ def _design(setting) -> _Design:
         ) from None
 
 
+def _check_psi(psi) -> None:
+    if not (np.isfinite(psi) and psi > 0):
+        raise ValidationError(f"psi must be positive and finite, got {psi!r}")
+
+
 def gen_covariates(n: int, rng) -> np.ndarray:
     """Draw the six baseline covariates, shape (n, 6).
 
@@ -138,11 +158,10 @@ def gen_covariates(n: int, rng) -> np.ndarray:
 def true_propensities(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:
     """Assignment probabilities of the data-generating process, (n, groups)."""
     design = _design(setting)
-    a = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    want = max(design.intercepts) + 1
-    if a.size != want:
-        raise ValidationError(f"alpha must hold {want} intercept(s), got {a.size}")
-    return _softmax(a[list(design.intercepts)] + design.scaled_loadings(x, psi))
+    # C order: numpy reduces over the probabilities (group shares, the OW
+    # tilt) in the order of their memory layout, so the layout fixes bits
+    return _softmax(np.add(design.offsets(alpha), design.scaled_loadings(x, psi).T,
+                           order="C"))
 
 
 def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.ndarray:
@@ -172,10 +191,17 @@ def gen_outcomes(
     rng = np.random.default_rng(rng)
     theta_full = np.concatenate([[0.0], np.asarray(theta, dtype=np.float64)])
     lp = x @ np.asarray(beta, dtype=np.float64)
-    u = rng.random((x.shape[0], theta_full.size))
-    return scale * (-np.log(u) / np.exp(theta_full[None, :] + lp[:, None])) ** (
-        1.0 / shape
-    )
+    t = rng.random((x.shape[0], theta_full.size))
+    # in place on the draw, with one (n, arms) temporary: the operations
+    # and their order are the formula's, so the bits are too
+    np.log(t, out=t)
+    np.negative(t, out=t)
+    rate = np.add(theta_full[None, :], lp[:, None])
+    np.exp(rate, out=rate)
+    t /= rate
+    t **= 1.0 / shape
+    t *= scale
+    return t
 
 
 def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
@@ -211,11 +237,52 @@ def make_replicate(
     )
 
 
+def _group_shares(offsets: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Mean over the units of the probabilities of the logits
+    (0, offsets + scaled[:, i]), shape (groups,); `scaled` is (groups - 1, n).
+
+    Bit for bit `_softmax(offsets + z).mean(axis=0)` with z the C-contiguous
+    (n, groups - 1) copy of scaled.T, that is `true_propensities(...)
+    .mean(axis=0)`, in blocks of `_CHUNK` units with the groups on the
+    leading axis.  Per block: m = max(0, l_1, ..., l_K) elementwise (a max
+    is exact in any order), e_0 = exp(-m), e_k = exp(l_k - m), d = ((e_0 +
+    e_1) + e_2) + ... and p = e / d, as `_softmax` does, because numpy adds
+    a row of at most 7 entries in order.  `mean(axis=0)` of a C-contiguous
+    array adds the rows in order, so the block's running total goes into
+    its first unit and an in-place cumulative sum along the units carries
+    it to the last.
+    """
+    k, n = scaled.shape
+    buf = np.empty((k + 1, _CHUNK))
+    total = np.zeros(k + 1)
+    for start in range(0, n, _CHUNK):
+        s = scaled[:, start:start + _CHUNK]
+        e = buf[:, :s.shape[1]]
+        logits = e[1:]
+        np.add(offsets[:, None], s, out=logits)
+        m = np.maximum(logits[0], 0.0)
+        for row in logits[1:]:
+            np.maximum(m, row, out=m)
+        np.negative(m, out=e[0])
+        logits -= m
+        np.exp(e, out=e)
+        d = e[0] + e[1]
+        for row in e[2:]:
+            d += row
+        e /= d
+        e[:, 0] += total
+        np.cumsum(e, axis=1, out=e)
+        total = e[:, -1].copy()
+    return total / n
+
+
 def treatment_prevalences(setting: str, psi: float, alpha, *, n_mc=_CAL_N_MC,
                           seed=_CAL_SEED_INTERCEPTS) -> np.ndarray:
     """Expected group shares E[e_j(X)] under the true assignment model."""
+    design = _design(setting)
+    offsets = design.offsets(alpha)
     x = gen_covariates(n_mc, np.random.default_rng(seed))
-    return true_propensities(setting, x, psi, alpha).mean(axis=0)
+    return _group_shares(offsets, design.scaled_loadings(x, psi))
 
 
 def calibrate_intercepts(setting: str, psi: float):
@@ -229,10 +296,9 @@ def calibrate_intercepts(setting: str, psi: float):
     every group share is within 0.002 of its target (at most 200 steps).
     """
     design = _design(setting)
-    if psi <= 0:
-        raise ValidationError("psi must be positive")
+    _check_psi(psi)
     # only the projections enter the loop; dropping x keeps the peak memory
-    # of calibration at that of calibrate_censoring
+    # of calibration below that of calibrate_censoring
     x = gen_covariates(_CAL_N_MC, np.random.default_rng(_CAL_SEED_INTERCEPTS))
     scaled = design.scaled_loadings(x, psi)
     del x
@@ -241,7 +307,7 @@ def calibrate_intercepts(setting: str, psi: float):
     target = 1.0 / len(design.labels)
     alpha = np.zeros(sharing.size)
     for _ in range(_CAL_MAX_ITER):
-        prev = _softmax(alpha[owner] + scaled).mean(axis=0)
+        prev = _group_shares(alpha[owner], scaled)
         if np.max(np.abs(prev - target)) <= _CAL_INTERCEPT_TOL:
             return float(alpha[0]) if alpha.size == 1 else alpha
         err = np.log(target / prev[1:])
@@ -356,6 +422,7 @@ def true_estimand(
     fit on that sample.
     """
     design = _design(setting)
+    _check_psi(psi)
     if m < 1_000_000:
         raise ValidationError("M too small: need at least 1e6 units")
     if scheme not in ("ipw", "ow", "att"):
@@ -407,8 +474,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         groups = len(_design(self.setting).labels)
-        if not (self.psi > 0):
-            raise ValidationError("psi must be positive")
+        _check_psi(self.psi)
         if self.n < 4 * groups:
             raise ValidationError(f"n must be at least {4 * groups}")
         if not (0.0 <= self.censoring < 1.0):

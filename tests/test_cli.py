@@ -597,6 +597,10 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "expected key = value" in capsys.readouterr().err
 
+    def test_non_finite_psi_exits_two(self, capsys):
+        assert main(["simulate", "--setting", "multi3", "--psi", "inf"]) == 2
+        assert "psi must be positive and finite" in capsys.readouterr().err
+
     def test_study_abort_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(wcox.simulation, "true_estimand", _fake_estimand)
         code = main(
@@ -693,6 +697,11 @@ class TestEstimandCommand:
         )
         assert code == 2
         assert "at least 1e6" in capsys.readouterr().err
+
+    def test_non_finite_psi_exits_two(self, capsys):
+        code = main(["estimand", "--setting", "multi3", "--scheme", "ow", "--psi", "nan"])
+        assert code == 2
+        assert "psi must be positive and finite" in capsys.readouterr().err
 
     def test_att_scheme_needs_index(self, capsys):
         code = main(

@@ -17,9 +17,13 @@ from wcox import (
     run_study,
     true_estimand,
 )
+from wcox.propensity import _CHUNK, _softmax
 from wcox.simulation import (
+    _DESIGNS,
     B_COEF,
+    BETA_OUTCOME,
     C_COEF,
+    _group_shares,
     _worker_count,
     calibrate_censoring,
     calibrate_intercepts,
@@ -142,6 +146,15 @@ class TestOutcomes:
         t2 = gen_outcomes(x, [0.0], shape=1.2, scale=2.0, rng=np.random.default_rng(7))
         np.testing.assert_allclose(t2, 2.0 * t1, rtol=1e-12)
 
+    @pytest.mark.parametrize("theta", [[0.35, -0.20], [0.35, -0.20, 0.15]])
+    @pytest.mark.parametrize("shape, scale", [(1.2, 1.0), (2.0, 3.0), (0.7, 0.5)])
+    def test_draw_is_the_written_out_formula(self, theta, shape, scale):
+        x = gen_covariates(20_000, np.random.default_rng(16))
+        t = gen_outcomes(x, theta, shape=shape, scale=scale, rng=np.random.default_rng(17))
+        u = np.random.default_rng(17).random(t.shape)
+        rate = np.exp(np.concatenate([[0.0], theta])[None, :] + (x @ BETA_OUTCOME)[:, None])
+        np.testing.assert_array_equal(t, scale * (-np.log(u) / rate) ** (1.0 / shape))
+
     def test_proportional_hazards_in_covariates(self):
         # S(t|x) = exp(-e^{beta'x} t^shape): check at one strong covariate
         x = np.zeros((200_000, 6))
@@ -153,7 +166,45 @@ class TestOutcomes:
         )
 
 
+@pytest.mark.parametrize("setting", sorted(_DESIGNS))
+@pytest.mark.parametrize("n", [1, _CHUNK - 5, 3 * _CHUNK, 3 * _CHUNK + 1])
+def test_group_shares_match_the_plain_expression_bit_for_bit(setting, n):
+    design = _DESIGNS[setting]
+    rng = np.random.default_rng(n)
+    x = gen_covariates(n, rng)
+    for psi in (0.5, 2.0):
+        scaled = design.scaled_loadings(x, psi)
+        # |alpha| up to ~40 makes a non-reference logit the row maximum
+        for sd in (0.3, 5.0, 40.0):
+            offsets = design.offsets(rng.normal(0.0, sd, max(design.intercepts) + 1))
+            plain = _softmax(offsets + np.ascontiguousarray(scaled.T)).mean(axis=0)
+            assert np.array_equal(_group_shares(offsets, scaled), plain)
+
+
 class TestCalibration:
+    def test_calibration_bits_are_pinned(self, multi3_calibration):
+        alpha, lam = multi3_calibration
+        assert alpha.hex() == "-0x1.e80838ac8ad50p-3"
+        assert lam.hex() == "0x1.e000000000000p-3"
+        assert [a.hex() for a in calibrate_intercepts("factorial", 1.0).tolist()] == [
+            "-0x1.a906cf2c999d7p-3", "-0x1.27dd6864f4eeep-2", "-0x1.ea4efa492e3b8p-4"
+        ]
+        alpha2 = calibrate_intercepts("factorial", 2.0)
+        assert [a.hex() for a in alpha2.tolist()] == [
+            "-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2"
+        ]
+        assert calibrate_censoring("factorial", 2.0, alpha2, 0.25).hex() == (
+            "0x1.0000000000000p-2"
+        )
+
+    def test_prevalences_are_the_mean_true_propensity(self):
+        alpha = (-0.2, -0.3, -0.1)
+        x = gen_covariates(50_000, np.random.default_rng(18))
+        np.testing.assert_array_equal(
+            treatment_prevalences("factorial", 1.5, alpha, n_mc=50_000, seed=18),
+            true_propensities("factorial", x, 1.5, alpha).mean(axis=0),
+        )
+
     def test_multi3_intercept_balances_prevalences(self, multi3_calibration):
         alpha, _ = multi3_calibration
         assert alpha == pytest.approx(-0.2383, abs=0.005)
@@ -275,6 +326,25 @@ def test_benchmark_estimand_constants_are_current(scheme):
     res = true_estimand("factorial", scheme, 2.0, m=1_000_000, seed=0)
     assert tuple(res.tau_star.tolist()) == bench.ESTIMANDS[scheme]
     assert res.t0 == bench.ESTIMAND_T0
+
+
+_PSI_CALLS = {
+    "calibrate_intercepts": lambda psi: calibrate_intercepts("factorial", psi),
+    "ScenarioConfig": lambda psi: ScenarioConfig(psi=psi),
+    "true_estimand_ipw": lambda psi: true_estimand("multi3", "ipw", psi),
+    "true_estimand_ow": lambda psi: true_estimand("factorial", "ow", psi),
+}
+
+
+@pytest.mark.parametrize("psi", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(_PSI_CALLS))
+def test_psi_must_be_positive_and_finite(monkeypatch, entry, psi):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a sample before checking psi")
+
+    monkeypatch.setattr(wcox.simulation, "gen_covariates", draw)
+    with pytest.raises(ValidationError, match="psi must be positive and finite"):
+        _PSI_CALLS[entry](psi)
 
 
 class TestEstimandValidation:
