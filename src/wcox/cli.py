@@ -38,7 +38,13 @@ from .data_model import (
 )
 from .marginal_cox import confidence_intervals, fit_weighted_mhr
 from .propensity import _weigh, balance_table, parse_scheme, propensity_histogram
-from .simulation import _DESIGNS, ScenarioConfig, run_study, true_estimand
+from .simulation import (
+    _DESIGNS,
+    ScenarioConfig,
+    _shared_intercepts,
+    run_study,
+    true_estimand,
+)
 from .weighted_km import export_km_csv, export_km_svg, km_curves
 
 __all__ = ["main"]
@@ -447,18 +453,19 @@ def _cmd_simulate(args) -> int:
     else:
         cells = [(base.psi, base.censoring)]
     reports = []
-    for psi, cens in cells:
-        # tau* depends on psi but not on the censoring level
-        known = next((r.estimands for r in reports if r.config.psi == psi), None)
-        report = run_study(dataclasses.replace(base, psi=psi, censoring=cens), known)
-        reports.append(report)
-        sys.stdout.write(report.format_table())
-        for reason, count in report.failure_reasons.items():
-            print(
-                f"wcox: cell {psi:g}/{cens:g}: {count} of {report.config.replicates} "
-                f"replicates failed with {reason}",
-                file=sys.stderr,
-            )
+    # the intercepts and tau* depend on psi but not on the censoring level
+    with _shared_intercepts():
+        for psi, cens in cells:
+            known = next((r.estimands for r in reports if r.config.psi == psi), None)
+            report = run_study(dataclasses.replace(base, psi=psi, censoring=cens), known)
+            reports.append(report)
+            sys.stdout.write(report.format_table())
+            for reason, count in report.failure_reasons.items():
+                print(
+                    f"wcox: cell {psi:g}/{cens:g}: {count} of {report.config.replicates} "
+                    f"replicates failed with {reason}",
+                    file=sys.stderr,
+                )
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             for k, report in enumerate(reports):

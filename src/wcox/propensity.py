@@ -128,8 +128,17 @@ def _warn_ridge():
 
 def _ridge(info):
     """Add the ridge to every information matrix of the stack whose
-    condition estimate exceeds the limit; returns (info, ridged rows)."""
-    bad = np.linalg.cond(info) > _CONDITION_LIMIT
+    condition estimate exceeds the limit; returns (info, ridged rows).
+
+    The matrices are symmetric positive semi-definite, so their singular
+    values are the moduli of their eigenvalues and the 2-norm condition
+    number is max|lambda| / min|lambda|.  A ratio that is not finite (an
+    exactly singular or zero matrix) counts as beyond the limit, as it
+    does for `np.linalg.cond`."""
+    moduli = np.abs(np.linalg.eigvalsh(info))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = moduli.max(axis=-1) / moduli.min(axis=-1)
+    bad = ~(ratio <= _CONDITION_LIMIT)
     if bad.any():
         info = np.where(bad[:, None, None], info + _RIDGE * np.eye(info.shape[1]), info)
     return info, bad

@@ -13,6 +13,9 @@ with inverse-transform sampling; censoring is exponential.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -168,6 +171,7 @@ def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.nda
     """Draw groups from the true propensities: logits (0, a + psi b'x,
     a - psi b'x) for multi3, (0, a0 + psi b'x, a1 - psi b'x, a2 + psi c'x)
     for factorial, whose groups follow the (z1, z2) cell coding 0..3."""
+    _check_psi(psi)
     rng = np.random.default_rng(rng)
     cdf = np.cumsum(true_propensities(setting, x, psi, alpha), axis=1)
     u = rng.random(x.shape[0])
@@ -223,6 +227,7 @@ def make_replicate(
     replicate is a pure function of the generator state.
     """
     design = _design(setting)
+    _check_psi(psi)
     rng = np.random.default_rng(rng)
     x, z, t_assigned = _draw_assigned(setting, psi, alpha, n, rng)
     c = rng.exponential(1.0, n) / lambda_c if lambda_c > 0 else np.full(n, np.inf)
@@ -280,6 +285,7 @@ def treatment_prevalences(setting: str, psi: float, alpha, *, n_mc=_CAL_N_MC,
                           seed=_CAL_SEED_INTERCEPTS) -> np.ndarray:
     """Expected group shares E[e_j(X)] under the true assignment model."""
     design = _design(setting)
+    _check_psi(psi)
     offsets = design.offsets(alpha)
     x = gen_covariates(n_mc, np.random.default_rng(seed))
     return _group_shares(offsets, design.scaled_loadings(x, psi))
@@ -328,6 +334,7 @@ def calibrate_censoring(setting: str, psi: float, alpha, target: float) -> float
     converges deterministically, to within 0.005 of the target.
     """
     _design(setting)
+    _check_psi(psi)
     if not (0.0 <= target < 1.0):
         raise ValidationError("target censoring must lie in [0, 1)")
     if target == 0.0:
@@ -662,6 +669,87 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+# OpenBLAS thread-count entry points as (set, get) names: numpy 2 wheels
+# bundle scipy-openblas with a prefix and an ILP64 suffix, older numpy
+# wheels carry the suffix alone and plain builds neither
+_OPENBLAS_SYMBOLS = [
+    (f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+def _openblas_controls() -> list:
+    """(set, get) thread-count functions of every OpenBLAS mapped into this
+    process: numpy's, and scipy's once it is loaded.  Empty where none is
+    found, as under MKL or Accelerate or without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.rstrip("\n").split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = {f[5] for f in fields
+             if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()}
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return controls
+
+
+def _limit_blas_threads(count: int) -> list:
+    """Run every OpenBLAS of this process on `count` threads; returns each
+    library's setter with its previous count, for the caller to restore.
+
+    The study runs each replicate on one thread: its matrices are small,
+    so with a worker per core a second thread per worker only contends
+    for the cores, and a fixed count keeps the bits of the replicates
+    independent of the host's cores and of the worker count."""
+    previous = []
+    for set_threads, get_threads in _openblas_controls():
+        previous.append((set_threads, get_threads()))
+        set_threads(count)
+    return previous
+
+
+# {(setting, psi): intercepts} while a `_shared_intercepts` block runs
+_INTERCEPT_MEMO = contextvars.ContextVar("intercept_memo", default=None)
+
+
+@contextlib.contextmanager
+def _shared_intercepts():
+    """Within the block, `run_study` calibrates the intercepts of each
+    (setting, psi) once and hands every later cell the same read-only
+    values."""
+    token = _INTERCEPT_MEMO.set({})
+    try:
+        yield
+    finally:
+        _INTERCEPT_MEMO.reset(token)
+
+
+def _study_intercepts(setting, psi):
+    """`calibrate_intercepts`, through the memo of an enclosing
+    `_shared_intercepts` block if there is one."""
+    memo = _INTERCEPT_MEMO.get()
+    if memo is None:
+        return calibrate_intercepts(setting, psi)
+    key = (setting, float(psi))
+    if key not in memo:
+        alpha = calibrate_intercepts(setting, psi)
+        memo[key] = _readonly(alpha) if isinstance(alpha, np.ndarray) else alpha
+    return memo[key]
+
+
 def run_study(
     config: ScenarioConfig,
     estimands: dict | None = None,
@@ -681,10 +769,12 @@ def run_study(
 
     Failed replicates are dropped and counted; more than
     `max_failure_fraction` of them aborts the study with StudyError.
-    Replicates may run in parallel (WCOX_THREADS caps the workers);
-    results are independent of worker count and execution order.
+    Replicates may run in parallel (WCOX_THREADS caps the workers), each
+    on one BLAS thread, so their results depend neither on the worker
+    count and execution order nor on the host's BLAS thread count.
+    Estimands computed here run on the host's BLAS threads.
     """
-    alpha = calibrate_intercepts(config.setting, config.psi)
+    alpha = _study_intercepts(config.setting, config.psi)
     lambda_c = calibrate_censoring(
         config.setting, config.psi, alpha, config.censoring
     )
@@ -723,10 +813,17 @@ def run_study(
     ]
     workers = _worker_count()
     if workers > 1 and config.replicates > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_limit_blas_threads, initargs=(1,)
+        ) as pool:
             outcomes = list(pool.map(_replicate_worker, args, chunksize=4))
     else:
-        outcomes = [_replicate_worker(a) for a in args]
+        previous = _limit_blas_threads(1)
+        try:
+            outcomes = [_replicate_worker(a) for a in args]
+        finally:
+            for set_threads, count in previous:
+                set_threads(count)
 
     oks = [payload for status, payload in outcomes if status == "ok"]
     failures: dict[str, int] = {}

@@ -627,20 +627,24 @@ class TestSimulate:
         ]
 
     def test_full_grid_computes_each_estimand_once(self, capsys, monkeypatch):
-        # tau* depends on psi but not on the censoring level; the
-        # calibrations and the replicates are stubbed, so only the calls
-        # are counted
-        calls = []
+        # tau* and the intercepts depend on psi but not on the censoring
+        # level; the calibrations and the replicates are stubbed, so only
+        # the calls are counted
+        calls, calibrations = [], []
 
         def counting_estimand(setting, scheme, psi, *args, **kwargs):
             calls.append((scheme, psi))
             return _fake_estimand(setting, scheme, psi, *args, **kwargs)
 
+        def counting_intercepts(setting, psi):
+            calibrations.append((setting, psi))
+            return np.zeros(2)
+
         estimates = tuple(
             {m: np.full(2, v) for m in wcox.simulation._METHODS} for v in (0.1, 0.2, 0.2)
         )
         monkeypatch.setattr(wcox.simulation, "true_estimand", counting_estimand)
-        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", lambda *a: np.zeros(2))
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", counting_intercepts)
         monkeypatch.setattr(wcox.simulation, "calibrate_censoring", lambda *a: 0.1)
         monkeypatch.setattr(wcox.simulation, "_replicate_estimates", lambda *a: estimates)
         monkeypatch.setenv("WCOX_THREADS", "1")
@@ -649,6 +653,7 @@ class TestSimulate:
         assert sorted(calls) == [
             (scheme, psi) for scheme in ("ipw", "ow") for psi in (1.0, 2.0, 3.0)
         ]
+        assert sorted(calibrations) == [("multi3", psi) for psi in (1.0, 2.0, 3.0)]
         payload = json.loads("{" + capsys.readouterr().out.split("\n{", 1)[1])
         assert set(payload["estimands"]) == {
             f"{psi}:{scheme}" for psi in (1, 2, 3) for scheme in ("ipw", "ow")

@@ -133,6 +133,30 @@ def test_ridge_warning_on_collinear_covariates():
     assert fit.score_norm <= 1e-8
 
 
+def test_ridge_rule_decides_as_the_condition_number():
+    # the eigenvalue ratio of `_ridge` against np.linalg.cond on random,
+    # near-singular and exactly singular symmetric stacks
+    rng = np.random.default_rng(21)
+    d = 9
+    stack = []
+    for _ in range(20):
+        g = rng.normal(size=(d, d + 3))
+        stack.append(g @ g.T)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    for cond in (1e3, 1e9, 1e11, 1e13, 1e15, 1e18):
+        stack.append((q * np.geomspace(1.0, 1.0 / cond, d)) @ q.T)
+    for rank in (0, 1, d - 2, d - 1):
+        g = rng.normal(size=(d, rank))
+        stack.append(g @ g.T)
+    info = np.array(stack)
+    ridged, bad = propensity._ridge(info)
+    expected = np.linalg.cond(info) > propensity._CONDITION_LIMIT
+    np.testing.assert_array_equal(bad, expected)
+    assert expected.sum() == 3 + 4
+    np.testing.assert_array_equal(ridged[~bad], info[~bad])
+    np.testing.assert_array_equal(ridged[bad], info[bad] + propensity._RIDGE * np.eye(d))
+
+
 @pytest.mark.parametrize(
     "call",
     [

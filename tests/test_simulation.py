@@ -3,6 +3,8 @@
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,8 @@ from wcox.simulation import (
     BETA_OUTCOME,
     C_COEF,
     _group_shares,
+    _limit_blas_threads,
+    _openblas_controls,
     _worker_count,
     calibrate_censoring,
     calibrate_intercepts,
@@ -333,6 +337,10 @@ _PSI_CALLS = {
     "ScenarioConfig": lambda psi: ScenarioConfig(psi=psi),
     "true_estimand_ipw": lambda psi: true_estimand("multi3", "ipw", psi),
     "true_estimand_ow": lambda psi: true_estimand("factorial", "ow", psi),
+    "make_replicate": lambda psi: make_replicate("multi3", psi, 0.0, 0.0, 200, 1),
+    "gen_treatment": lambda psi: gen_treatment("multi3", np.zeros((5, 6)), psi, 0.0, 1),
+    "treatment_prevalences": lambda psi: treatment_prevalences("factorial", psi, (0, 0, 0)),
+    "calibrate_censoring": lambda psi: calibrate_censoring("multi3", psi, 0.0, 0.25),
 }
 
 
@@ -418,6 +426,20 @@ def _fabricated_estimands():
     return {"ipw": mk("ipw", [0.17, -0.10]), "ow": mk("ow", [0.209, -0.115])}
 
 
+# the benchmark's study cell, cut to two replicates
+_FACTORIAL_CELL = ScenarioConfig(
+    setting="factorial", psi=2.0, n=1000, replicates=2, bootstrap_b=100, seed=1
+)
+
+
+def _factorial_estimands():
+    return {
+        scheme: EstimandResult(setting="factorial", scheme=scheme, psi=2.0,
+                               tau_star=np.asarray(tau), m=1_000_000, seed=0, t0=60.0)
+        for scheme, tau in (("ipw", [0.17, -0.10, 0.07]), ("ow", [0.24, -0.13, 0.10]))
+    }
+
+
 @pytest.fixture(scope="module")
 def small_study():
     config = ScenarioConfig(
@@ -485,14 +507,21 @@ class TestRunStudy:
         again.to_csv(b2)
         assert b1.getvalue() == b2.getvalue()
 
-    def test_worker_pool_matches_serial(self, small_study, monkeypatch):
-        config, report = small_study
-        monkeypatch.setenv("WCOX_THREADS", "2")
-        parallel = run_study(config, _fabricated_estimands(), max_failure_fraction=0.5)
-        b1, b2 = io.StringIO(), io.StringIO()
-        report.to_csv(b1)
-        parallel.to_csv(b2)
-        assert b1.getvalue() == b2.getvalue()
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        cells = [
+            (ScenarioConfig(setting="multi3", psi=1.0, n=150, replicates=6,
+                            bootstrap_b=8, seed=777), _fabricated_estimands()),
+            (_FACTORIAL_CELL, _factorial_estimands()),
+        ]
+        for config, estimands in cells:
+            csvs = []
+            for workers in ("1", "2"):
+                monkeypatch.setenv("WCOX_THREADS", workers)
+                report = run_study(config, estimands, max_failure_fraction=0.5)
+                buf = io.StringIO()
+                report.to_csv(buf)
+                csvs.append(buf.getvalue())
+            assert csvs[0] == csvs[1]
 
     def test_tiny_cohorts_abort_the_study(self):
         config = ScenarioConfig(
@@ -522,3 +551,68 @@ class TestWorkerCount:
         assert _worker_count() == 2
         monkeypatch.delattr(os, "sched_getaffinity")
         assert _worker_count() == 64
+
+
+def _blas_threads():
+    return [get_threads() for _, get_threads in _openblas_controls()]
+
+
+_NO_OPENBLAS = pytest.mark.skipif(
+    not _openblas_controls(),
+    reason="no OpenBLAS with a thread-count entry point is loaded, so the "
+    "study cannot set its BLAS threads",
+)
+
+
+@_NO_OPENBLAS
+class TestBlasThreads:
+    def test_study_bits_do_not_depend_on_the_blas_threads(self):
+        # the process's BLAS thread count defaults to the host's cores; the
+        # replicates run on one thread whatever it is
+        here = Path(__file__).resolve().parent
+        src = str(Path(wcox.__file__).resolve().parent.parent)
+        script = (
+            f"import sys; sys.path.insert(0, {str(here)!r}); "
+            "from test_simulation import _FACTORIAL_CELL, _factorial_estimands; "
+            "from wcox import run_study; "
+            "run_study(_FACTORIAL_CELL, _factorial_estimands()).to_csv(sys.stdout)"
+        )
+        csvs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "WCOX_THREADS": "2",
+                     "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=600, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert csvs[0].count("\n") == 13
+        assert csvs[0] == csvs[1]
+
+    def test_serial_study_restores_the_callers_blas_threads(self, monkeypatch):
+        monkeypatch.setenv("WCOX_THREADS", "1")
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", lambda *a: -0.2383)
+        monkeypatch.setattr(wcox.simulation, "calibrate_censoring", lambda *a: 0.3)
+        config = ScenarioConfig(
+            setting="multi3", psi=1.0, n=150, replicates=2, bootstrap_b=8, seed=777
+        )
+        previous = _limit_blas_threads(2)
+        try:
+            callers = _blas_threads()
+            run_study(config, _fabricated_estimands())
+            assert _blas_threads() == callers
+
+            seen = []
+
+            def failing(*args):
+                seen.append(_blas_threads())
+                raise RuntimeError("replicate crashed")
+
+            monkeypatch.setattr(wcox.simulation, "_replicate_estimates", failing)
+            with pytest.raises(RuntimeError, match="replicate crashed"):
+                run_study(config, _fabricated_estimands())
+            assert seen == [[1] * len(callers)]
+            assert _blas_threads() == callers
+        finally:
+            for set_threads, count in previous:
+                set_threads(count)
