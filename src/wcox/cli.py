@@ -174,13 +174,7 @@ def _load_cohort(args) -> tuple[Cohort, list[str]]:
         cells = [factorial_treatment_labels()[k] for k in missing]
         raise ValidationError(f"{args.data}: factorial cell(s) {cells} absent")
     base = validate_cohort(t, d, labels4, covs)
-    cohort = Cohort(
-        time=base.time,
-        event=base.event,
-        treatment=base.treatment,
-        covariates=base.covariates,
-        treatment_labels=factorial_treatment_labels(),
-    )
+    cohort = dataclasses.replace(base, treatment_labels=factorial_treatment_labels())
     return cohort, cov_names
 
 
@@ -239,7 +233,7 @@ def _cmd_fit(args) -> int:
         scheme,
         att_target=att_target,
         variance=variance,
-        n_boot=n_boot if n_boot else 200,
+        n_boot=200 if n_boot is None else n_boot,
         seed=args.seed,
         trim_threshold=args.trim,
         refit_trim=not args.no_trim_refit,

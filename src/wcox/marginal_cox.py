@@ -15,9 +15,9 @@ Breslow handling of ties.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._engine import _checked_weights, _fit_risk_tables, _risk_tables, _table_quantities
 from .data_model import (
@@ -460,7 +460,7 @@ def confidence_intervals(estimate: MhrEstimate, level: float = 0.95) -> np.ndarr
         raise ValidationError("estimate has no covariance attached")
     if not (0.0 < level < 1.0):
         raise ValidationError("confidence level must lie in (0, 1)")
-    z = ndtri(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     se = estimate.se
     return np.column_stack(
         [

@@ -19,9 +19,9 @@ import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._engine import fit_cox
 from .data_model import (
@@ -841,7 +841,7 @@ def run_study(
 
     j = targets["ipw"].shape[0]
     labels = _design(config.setting).labels
-    z95 = ndtri(0.975)
+    z95 = NormalDist().inv_cdf(0.975)
     rows = []
     for method in _METHODS:
         taus = np.vstack([ok[0][method] for ok in oks])
@@ -865,7 +865,7 @@ def run_study(
                     coverage=float(covered.mean()),
                     mean_se_robust=float(np.mean(ses[:, comp])),
                     mean_se_bootstrap=float(np.mean(boots[:, comp])),
-                    mc_sd=float(np.std(taus[:, comp], ddof=1)),
+                    mc_sd=float(np.std(taus[:, comp], ddof=1)) if len(oks) > 1 else np.nan,
                 )
             )
     return StudyReport(

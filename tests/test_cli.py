@@ -1,5 +1,6 @@
 """Command-line interface: loading, commands, exit codes, output formats."""
 
+import ast
 import csv
 import io
 import json
@@ -211,6 +212,18 @@ class TestFit:
         ]
         assert main(args) == 2
         assert "--seed is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "1", "-3"])
+    def test_bootstrap_under_two_replicates_exits_two(self, cohort_csv, capsys, count):
+        code = main(
+            ["fit", cohort_csv, "--time", "t", "--event", "d", "--treatment", "z",
+             "--covariates", "x1,x2,x3", "--variance", f"bootstrap:{count}",
+             "--seed", "5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "bootstrap needs at least 2 replicates" in captured.err
 
     def test_bootstrap_variance_runs_with_seed(self, cohort_csv, capsys):
         args = [
@@ -663,10 +676,14 @@ class TestSimulate:
         }
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time of every CLI process
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy more than doubled the
+    # import time of every CLI process
     src = str(Path(wcox.__file__).resolve().parent.parent)
-    probe = "import sys, wcox.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, wcox, wcox.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -675,7 +692,26 @@ def test_import_leaves_scipy_stats_unloaded():
         timeout=120,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_sources_import_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wcox"}
+    foreign = []
+    for path in sorted(Path(wcox.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one within wcox
+            foreign += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert foreign == []
 
 
 class TestEstimandCommand:

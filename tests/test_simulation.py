@@ -327,7 +327,14 @@ def test_benchmark_estimand_constants_are_current(scheme):
     # the study-boot benchmark passes these tau* and t0 in as fixed inputs;
     # a change to the data-generating process must not leave them stale
     bench = _benchmark_study_call()
-    res = true_estimand("factorial", scheme, 2.0, m=1_000_000, seed=0)
+    # the constants were pinned on 2 BLAS threads, and the summation order of
+    # the stacked Cox fit over 4e6 records follows the thread count
+    previous = _limit_blas_threads(2)
+    try:
+        res = true_estimand("factorial", scheme, 2.0, m=1_000_000, seed=0)
+    finally:
+        for set_threads, count in previous:
+            set_threads(count)
     assert tuple(res.tau_star.tolist()) == bench.ESTIMANDS[scheme]
     assert res.t0 == bench.ESTIMAND_T0
 
@@ -522,6 +529,19 @@ class TestRunStudy:
                 report.to_csv(buf)
                 csvs.append(buf.getvalue())
             assert csvs[0] == csvs[1]
+
+    def test_one_replicate_has_no_mc_sd(self):
+        config = ScenarioConfig(
+            setting="multi3", psi=1.0, n=150, replicates=1, bootstrap_b=8, seed=777
+        )
+        report = run_study(config, _fabricated_estimands())
+        assert report.replicates_used == 1
+        for r in report.rows:
+            assert np.isnan(r.mc_sd)
+            assert np.isfinite(r.rel_bias) and np.isfinite(r.mean_se_robust)
+        buf = io.StringIO()
+        report.to_csv(buf)
+        assert all(line.endswith(",nan,0") for line in buf.getvalue().split("\n")[1:-1])
 
     def test_tiny_cohorts_abort_the_study(self):
         config = ScenarioConfig(
