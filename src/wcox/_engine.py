@@ -250,16 +250,15 @@ _COX_LIMITS = _NewtonLimits(
 )
 
 
-def _risk_tables(time, event, arm, weights, arms: int):
+def _risk_tables(time, event, arm, weights, arms: int, order):
     """Event and at-risk tables of the indicator design, one per row of
-    `weights` (B, n).
+    `weights` (B, n); `order` is the stable argsort of `time`.
 
     At each distinct event time t_k, in ascending order, and arm z:
     F[b, k, z] is the weight of arm z's events at t_k and R[b, k, z] the
     weight of arm z still at risk (time >= t_k).  Returns (F, R, times): F
     and R of shape (B, T, arms), and times the T event times.
     """
-    order = np.argsort(time, kind="stable")
     t = time[order]
     d = np.asarray(event)[order].astype(bool)
     w = weights[:, order, None] * (arm[order, None] == np.arange(arms))
@@ -295,7 +294,7 @@ def _table_quantities(tau, f_total, f_dot, r):
     return loglik, f_total[:, 1:] - mean, info, full, f_dot / s0, dbar
 
 
-def _fit_risk_tables(time, event, arm, weights, arms: int):
+def _fit_risk_tables(time, event, arm, weights, arms: int, order):
     """`fit_cox` of the indicator design on the tables of `_risk_tables`,
     one fit per row of `weights` (B, n), with its rules: each row is
     rescaled to mean one, the tolerance is max(1e-9, 1024 eps (weighted
@@ -304,7 +303,7 @@ def _fit_risk_tables(time, event, arm, weights, arms: int):
     inf-norms on the mean-one scale), errors (a ConvergenceError or None
     per row))."""
     wbar = weights.sum(axis=1) / weights.shape[1]
-    f, r, _ = _risk_tables(time, event, arm, weights / wbar[:, None], arms)
+    f, r, _ = _risk_tables(time, event, arm, weights / wbar[:, None], arms, order)
     f_total = f.sum(axis=1)
     f_dot = f.sum(axis=2)
     w_ev_total = f_total.sum(axis=1)

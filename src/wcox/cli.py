@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -103,57 +104,129 @@ def _add_cohort_flags(sub):
     sub.add_argument("--reference", help="treatment label to use as reference group")
 
 
-def _read_rows(path: str):
+# data rows per block of the reader: bounds the rows held as strings
+_BLOCK_ROWS = 1 << 12
+
+
+def _block_values(block, k, kind):
+    """Column k of a block of rows: a float64 array, or for `kind` str the
+    cells.  Raises IndexError or ValueError when a row is too short, a
+    cell is empty or a float cell does not parse."""
+    cells = [row[k] for row in block]
+    if kind is str:
+        if "" in cells:
+            raise ValueError("empty cell")
+        return cells
+    # numpy converts each str cell as Python's float() does (`1_0`,
+    # ` 1.5 `, `inf`), the rule of the rescan below
+    return np.array(cells, dtype=np.float64)
+
+
+def _rescan(block, k, kind, col, path, first_row):
+    """Column k of a block whose conversion failed, converted cell by
+    cell: the ValidationError of its first bad row (an empty value before
+    an unparseable one), or the values when no cell is bad."""
+    values = []
+    for offset, row in enumerate(block):
+        raw = row[k] if k < len(row) else None
+        if raw is None or raw == "":
+            return ValidationError(
+                f"{path}: row {first_row + offset}: empty value in {col!r}"
+            )
+        try:
+            values.append(kind(raw))
+        except ValueError:
+            return ValidationError(
+                f"{path}: row {first_row + offset}: cannot parse {col!r} value {raw!r}"
+            )
+    return values if kind is str else np.array(values, dtype=np.float64)
+
+
+def _read_columns(path: str, wanted):
+    """Header and parsed columns of a CSV file, read once by one
+    `csv.reader` in blocks of `_BLOCK_ROWS` data rows.
+
+    `wanted` holds (column, kind) pairs, kind float or str.  As with
+    `csv.DictReader`, blank lines are skipped and not counted as rows, a
+    short row has no value in its missing columns, and of two columns
+    with one name the last is read.  Returns (names, columns): columns
+    maps each wanted pair whose column is in the header to a
+    float64 array or list of cells, or to the ValidationError of its
+    first bad row.  Errors of the file itself (unreadable, not UTF-8, no
+    header, no rows) are raised once the whole file has been read, in
+    that order.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            names = reader.fieldnames
-            rows = list(reader)
+            reader = csv.reader(fh)
+            names = next(reader, None)
+            index = {name: k for k, name in enumerate(names or ())}
+            parts = {key: [] for key in wanted if key[0] in index}
+            rows = 0
+            while raw := list(itertools.islice(reader, _BLOCK_ROWS)):
+                block = [row for row in raw if row]
+                for key, found in parts.items():
+                    if isinstance(found, ValidationError):
+                        continue
+                    col, kind = key
+                    try:
+                        values = _block_values(block, index[col], kind)
+                    except (IndexError, ValueError):
+                        values = _rescan(block, index[col], kind, col, path, rows + 1)
+                    if isinstance(values, ValidationError):
+                        parts[key] = values
+                    else:
+                        found.append(values)
+                rows += len(block)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not valid UTF-8: {exc}") from None
     if not names:
         raise ValidationError(f"{path}: header row required")
-    return names, rows
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    columns = {}
+    for key, found in parts.items():
+        if isinstance(found, ValidationError):
+            columns[key] = found
+        elif key[1] is str:
+            columns[key] = list(itertools.chain.from_iterable(found))
+        else:
+            columns[key] = np.concatenate(found)
+        # drop the column's blocks once joined: one column at a time is
+        # held twice
+        parts[key] = None
+    return names, columns
 
 
-def _column(rows, names, col, path, kind=str):
+def _column(names, columns, col, path, kind=float):
     if col not in names:
         raise ValidationError(f"{path}: column {col!r} not found (header: {names})")
-    out = []
-    for k, row in enumerate(rows):
-        raw = row[col]
-        if raw is None or raw == "":
-            raise ValidationError(f"{path}: row {k + 1}: empty value in {col!r}")
-        if kind is str:
-            out.append(raw)
-            continue
-        try:
-            out.append(kind(raw))
-        except ValueError:
-            raise ValidationError(
-                f"{path}: row {k + 1}: cannot parse {col!r} value {raw!r}"
-            ) from None
-    return out
+    found = columns[col, kind]
+    if isinstance(found, ValidationError):
+        raise found
+    return found
 
 
 def _load_cohort(args) -> tuple[Cohort, list[str]]:
-    names, rows = _read_rows(args.data)
-    if not rows:
-        raise ValidationError(f"{args.data}: no data rows")
-    t = _column(rows, names, args.time, args.data, float)
-    d = _column(rows, names, args.event, args.data, float)
     cov_names = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    floats = (args.time, args.event, *cov_names, args.z1, args.z2)
+    wanted = [(c, float) for c in floats if c]
+    if args.treatment:
+        wanted.append((args.treatment, str))
+    names, columns = _read_columns(args.data, wanted)
+    t = _column(names, columns, args.time, args.data)
+    d = _column(names, columns, args.event, args.data)
     covs = None
     if cov_names:
         covs = np.column_stack(
-            [_column(rows, names, c, args.data, float) for c in cov_names]
+            [_column(names, columns, c, args.data) for c in cov_names]
         )
     if args.treatment and (args.z1 or args.z2):
         raise ValidationError("give either --treatment or --z1/--z2, not both")
     if args.treatment:
-        z = _column(rows, names, args.treatment, args.data, str)
+        z = _column(names, columns, args.treatment, args.data, str)
         try:
             # integer-looking labels keep their numeric identity (a dense
             # 0..J column then maps to itself instead of first appearance)
@@ -163,8 +236,8 @@ def _load_cohort(args) -> tuple[Cohort, list[str]]:
         return validate_cohort(t, d, z, covs, reference=args.reference), cov_names
     if not (args.z1 and args.z2):
         raise ValidationError("either --treatment or both --z1 and --z2 are required")
-    z1 = np.asarray(_column(rows, names, args.z1, args.data, float))
-    z2 = np.asarray(_column(rows, names, args.z2, args.data, float))
+    z1 = _column(names, columns, args.z1, args.data)
+    z2 = _column(names, columns, args.z2, args.data)
     for name, z in ((args.z1, z1), (args.z2, z2)):
         if not np.isin(z, (0.0, 1.0)).all():
             raise ValidationError(f"{args.data}: column {name!r} must be 0/1")

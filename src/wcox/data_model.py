@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,12 @@ class Cohort:
     @property
     def n_covariates(self) -> int:
         return self.covariates.shape[1]
+
+    @cached_property
+    def _time_order(self) -> np.ndarray:
+        """Stable argsort of `time`, the order of every risk table of the
+        cohort; computed once per cohort."""
+        return np.argsort(self.time, kind="stable")
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.treatment_labels))

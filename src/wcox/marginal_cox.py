@@ -28,6 +28,7 @@ from .data_model import (
     _indicators,
 )
 from .propensity import (
+    _CHUNK,
     PropensityFit,
     WeightSet,
     _check_scheme,
@@ -72,7 +73,9 @@ def _tables_at(cohort: Cohort, weights: WeightSet, tau):
     if not np.all(np.isfinite(tau)):
         raise ValidationError("tau must be finite")
     w = _checked_weights(cohort.time, weights.weights)
-    f, r, times = _risk_tables(cohort.time, cohort.event, cohort.treatment, w[None], j + 1)
+    f, r, times = _risk_tables(
+        cohort.time, cohort.event, cohort.treatment, w[None], j + 1, cohort._time_order
+    )
     at = np.searchsorted(times, cohort.time, side="right")
     values = _table_quantities(tau[None], f.sum(axis=1), f.sum(axis=2), r)
     return w, at, [v[0] for v in values]
@@ -166,7 +169,7 @@ def fit_mhr(cohort: Cohort, weights: WeightSet) -> MhrEstimate:
     if not np.any(w[cohort.event == 1] > 0.0):
         raise ValidationError("all events carry zero weight")
     tau, loglik, iterations, gnorm, errors = _fit_risk_tables(
-        cohort.time, cohort.event, cohort.treatment, w[None], j + 1
+        cohort.time, cohort.event, cohort.treatment, w[None], j + 1, cohort._time_order
     )
     if errors[0] is not None:
         raise errors[0]
@@ -204,23 +207,69 @@ class StackedPieces:
     a_gg: np.ndarray
 
 
-def _log_weight_gradient(psfit: PropensityFit, weights: WeightSet, treatment) -> np.ndarray:
-    """d log w_i / d gamma, shape (n, J(p+1)) in gamma.ravel() order.
+def _score_rows(psfit: PropensityFit, treatment, rows) -> np.ndarray:
+    """pi of the units in `rows`: the propensity score residuals
+    (D - e) x design, shape (units, J(p+1)) in gamma.ravel() order."""
+    e = psfit.probs[rows, 1:]
+    resid = _indicators(treatment[rows], e.shape[1]) - e
+    return (resid[:, :, None] * psfit.design[rows, None, :]).reshape(e.shape[0], -1)
+
+
+def _log_weight_gradient(
+    psfit: PropensityFit, weights: WeightSet, treatment, rows
+) -> np.ndarray:
+    """d log w_i / d gamma of the units in `rows`, shape (units, J(p+1))
+    in gamma.ravel() order.
 
     With d log e_k / d gamma_a = (1{k=a} - e_a) x, every scheme's
     derivative is c_{i,a} x_i: c = e_a - 1{Z=a} for IPW, plus
     1{target=a} - e_a for ATT and tilt/e_a - e_a for OW; 0 for UNIT.
     """
-    e = psfit.probs[:, 1:]
+    e = psfit.probs[rows, 1:]
     j = e.shape[1]
-    coef = e - _indicators(treatment, j)
+    coef = e - _indicators(treatment[rows], j)
     if weights.scheme == "att":
         coef += (np.arange(1, j + 1) == weights.att_target) - e
     elif weights.scheme == "ow":
-        coef += weights.tilt[:, None] / e - e
+        coef += weights.tilt[rows, None] / e - e
     elif weights.scheme == "unit":
         coef[:] = 0.0
-    return (coef[:, :, None] * psfit.design[:, None, :]).reshape(e.shape[0], -1)
+    return (coef[:, :, None] * psfit.design[rows, None, :]).reshape(e.shape[0], -1)
+
+
+def _chunk_sum(n: int, term) -> np.ndarray:
+    """The sum of term(rows) over the chunks of `_CHUNK` units of 0..n-1,
+    so no per-unit array is wider than a chunk.  With n at most one chunk
+    it is term(slice(0, n)) itself, bit for bit."""
+    total = term(slice(0, _CHUNK))
+    for start in range(_CHUNK, n, _CHUNK):
+        total += term(slice(start, start + _CHUNK))
+    return total
+
+
+def _tau_pieces(cohort: Cohort, weights: WeightSet, tau):
+    """psi, psi_c and a_tt of `stacked_pieces`."""
+    w, at, (_, _, info, full, jump, dbar) = _tables_at(cohort, weights, tau)
+    n = cohort.n
+    j = cohort.n_treatments
+    c0 = np.concatenate([[0.0], np.cumsum(jump)])[at]
+    c1 = np.concatenate([np.zeros((1, j)), np.cumsum(jump[:, None] * dbar, axis=0)])[at]
+    d = _indicators(cohort.treatment, j)
+    ev = np.flatnonzero(cohort.event == 1)
+    psi = np.zeros((n, j))
+    # an event unit's own time is the at-th event time
+    psi[ev] = w[ev, None] * (d[ev] - dbar[at[ev] - 1])
+    psi_c = psi - (w * np.exp(full)[cohort.treatment])[:, None] * (d * c0[:, None] - c1)
+    return psi, psi_c, info / n
+
+
+def _cross_block(cohort: Cohort, psfit: PropensityFit, weights: WeightSet, psi_c):
+    """a_tg = -(1/n) psi_c' (d log w / d gamma), summed chunk by chunk."""
+
+    def term(rows):
+        return psi_c[rows].T @ _log_weight_gradient(psfit, weights, cohort.treatment, rows)
+
+    return -_chunk_sum(cohort.n, term) / cohort.n
 
 
 def stacked_pieces(
@@ -244,19 +293,9 @@ def stacked_pieces(
     where C0 and C1 sum dL and dL Dbar over t <= Y_i, and
     n a_tt = sum_t F.(t) (diag Dbar(t) - Dbar(t) Dbar(t)').
     """
-    w, at, (_, _, info, full, jump, dbar) = _tables_at(cohort, weights, tau)
+    psi, psi_c, a_tt = _tau_pieces(cohort, weights, tau)
     n = cohort.n
     j = cohort.n_treatments
-    c0 = np.concatenate([[0.0], np.cumsum(jump)])[at]
-    c1 = np.concatenate([np.zeros((1, j)), np.cumsum(jump[:, None] * dbar, axis=0)])[at]
-    d = _indicators(cohort.treatment, j)
-    ev = np.flatnonzero(cohort.event == 1)
-    psi = np.zeros((n, j))
-    # an event unit's own time is the at-th event time
-    psi[ev] = w[ev, None] * (d[ev] - dbar[at[ev] - 1])
-    psi_c = psi - (w * np.exp(full)[cohort.treatment])[:, None] * (d * c0[:, None] - c1)
-    a_tt = info / n
-
     if psfit is None:
         return StackedPieces(
             psi=psi,
@@ -266,11 +305,14 @@ def stacked_pieces(
             a_tg=np.zeros((j, 0)),
             a_gg=np.zeros((0, 0)),
         )
-    resid = d - psfit.probs[:, 1:]
-    pi = (resid[:, :, None] * psfit.design[:, None, :]).reshape(n, -1)
-    a_gg = multinomial_information(psfit.probs, psfit.design) / n
-    a_tg = -(psi_c.T @ _log_weight_gradient(psfit, weights, cohort.treatment)) / n
-    return StackedPieces(psi=psi, psi_c=psi_c, pi=pi, a_tt=a_tt, a_tg=a_tg, a_gg=a_gg)
+    return StackedPieces(
+        psi=psi,
+        psi_c=psi_c,
+        pi=_score_rows(psfit, cohort.treatment, slice(None)),
+        a_tt=a_tt,
+        a_tg=_cross_block(cohort, psfit, weights, psi_c),
+        a_gg=multinomial_information(psfit.probs, psfit.design) / n,
+    )
 
 
 @dataclass(frozen=True)
@@ -312,7 +354,10 @@ def sandwich_covariance(
     Davidian 2004; Stefanski and Boos 2002).  a_gg^-1 a_tg' is taken as a
     least-squares solve: pi_i and the rows of a_tg lie in the range of
     a_gg, so U is well defined, and invariant to the coding, when a
-    propensity covariate is aliased and a_gg is singular.
+    propensity covariate is aliased and a_gg is singular.  U'U and a_tg
+    are summed over chunks of `propensity._CHUNK` units, so no (n,
+    J(p+1)) array is formed; with n at most one chunk each is a single
+    product.
 
     With psfit=None, or UNIT weights (a_tg = 0), U = psi_c and cov_tau is
     the fixed-weight robust variance.  After a trim without refit, psfit
@@ -320,13 +365,20 @@ def sandwich_covariance(
     gamma is treated as if it had been fitted on them.
     """
     n = cohort.n
-    pieces = stacked_pieces(cohort, psfit, weights, tau)
-    psi_c = pieces.psi_c
-    cov_fixed = _sandwich(pieces.a_tt, psi_c.T @ psi_c / n, n)
-    g = np.linalg.lstsq(pieces.a_gg, pieces.a_tg.T, rcond=None)[0]
-    u = psi_c - pieces.pi @ g
+    _, psi_c, a_tt = _tau_pieces(cohort, weights, tau)
+    cov_fixed = _sandwich(a_tt, psi_c.T @ psi_c / n, n)
+    if psfit is None:
+        return SandwichResult(cov_tau=cov_fixed, cov_tau_fixed=cov_fixed.copy())
+    a_gg = multinomial_information(psfit.probs, psfit.design) / n
+    a_tg = _cross_block(cohort, psfit, weights, psi_c)
+    g = np.linalg.lstsq(a_gg, a_tg.T, rcond=None)[0]
+
+    def meat(rows):
+        u = psi_c[rows] - _score_rows(psfit, cohort.treatment, rows) @ g
+        return u.T @ u
+
     return SandwichResult(
-        cov_tau=_sandwich(pieces.a_tt, u.T @ u / n, n), cov_tau_fixed=cov_fixed
+        cov_tau=_sandwich(a_tt, _chunk_sum(n, meat) / n, n), cov_tau_fixed=cov_fixed
     )
 
 
@@ -373,7 +425,12 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
     tau = np.zeros((counts.shape[0], j))
     if rows.size:
         tau[rows], _, _, _, errors = _fit_risk_tables(
-            cohort.time, cohort.event, cohort.treatment, weights[rows], j + 1
+            cohort.time,
+            cohort.event,
+            cohort.treatment,
+            weights[rows],
+            j + 1,
+            cohort._time_order,
         )
         stage[rows[[e is not None for e in errors]]] = 3
     return tau, stage, ridged

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -361,6 +363,27 @@ class TestFit:
             assert len(se) == 2 and np.all(np.isfinite(se)), se
 
 
+def _load(path, time="t", covariates=""):
+    args = wcox.cli.build_parser().parse_args(
+        ["fit", str(path), "--time", time, "--event", "d", "--treatment", "z",
+         "--covariates", covariates]
+    )
+    return wcox.cli._load_cohort(args)
+
+
+def _fit_error(path, capsys, time="t", covariates=""):
+    """The message of a `wcox fit` that exits 2, checking the whole stderr."""
+    code = main(
+        ["fit", str(path), "--time", time, "--event", "d", "--treatment", "z",
+         "--covariates", covariates]
+    )
+    assert code == 2
+    error, duration = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"wcox: fit finished in \d+\.\d{3}s", duration), duration
+    assert error.startswith("wcox: error: "), error
+    return error[len("wcox: error: "):]
+
+
 class TestLoadingErrors:
     def test_missing_column_names_the_column(self, four_unit_csv, capsys):
         code = main(
@@ -384,11 +407,115 @@ class TestLoadingErrors:
     def test_unparseable_value_points_at_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         _write_csv(path, ["t", "d", "z"], [(1.0, 1, 0), ("soon", 1, 1)])
-        code = main(
-            ["fit", str(path), "--time", "t", "--event", "d", "--treatment", "z"]
+        assert _fit_error(path, capsys) == (
+            f"{path}: row 2: cannot parse 't' value 'soon'"
         )
-        assert code == 2
-        assert "row 2" in capsys.readouterr().err
+
+    def test_empty_value_points_at_row(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, ["t", "d", "z"], [(1.0, 1, 0), (2.0, "", 1)])
+        assert _fit_error(path, capsys) == f"{path}: row 2: empty value in 'd'"
+
+    def test_missing_column_message(self, four_unit_csv, capsys):
+        assert _fit_error(four_unit_csv, capsys, time="time") == (
+            f"{four_unit_csv}: column 'time' not found (header: ['t', 'd', 'z'])"
+        )
+
+    @pytest.mark.parametrize("text", ["t,d,z\n", "t,d,z", "t,d,z\n\n\n"])
+    def test_header_without_rows(self, tmp_path, capsys, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _fit_error(path, capsys) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("text", ["", "\n", "\nt,d,z\n1.0,1,0\n"])
+    def test_missing_header(self, tmp_path, capsys, text):
+        # a blank first line is an empty header, as csv.DictReader reads it
+        path = tmp_path / "noheader.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _fit_error(path, capsys) == f"{path}: header row required"
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,d,z\n1.0,1,0\n2.0,1,1\n\xff,1,0\n")
+        assert _fit_error(path, capsys) == (
+            f"{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 22: invalid start byte"
+        )
+
+    def test_utf8_error_comes_before_header_and_cell_errors(self, tmp_path, capsys):
+        # the whole file is decoded before any column is looked at
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"\nt,d,z\nsoon,1,0\n" + b"1.0,1,0\n" * 3000 + b"\xfe\n")
+        assert _fit_error(path, capsys).startswith(f"{path} is not valid UTF-8: ")
+
+    def test_short_row_is_an_empty_value_never_nan(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("t,d,z,x\n1.0,1,0,0.5\n2.0,1,1\n", encoding="utf-8")
+        assert _fit_error(path, capsys, covariates="x") == (
+            f"{path}: row 2: empty value in 'x'"
+        )
+        path.write_text("t,d,z\n1.0,1,0\n2.0\n", encoding="utf-8")
+        assert _fit_error(path, capsys) == f"{path}: row 2: empty value in 'd'"
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "t,d,z\n\n1.0,1,1\n2.0,1,0\n\n\n3.0,1,0\n4.0,1,1\n\n", encoding="utf-8"
+        )
+        cohort, _ = _load(path)
+        np.testing.assert_array_equal(cohort.time, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(cohort.treatment, [1, 0, 0, 1])
+        path.write_text("t,d,z\n\n1.0,1,1\n\n2.0,1,0\n\nsoon,1,0\n", encoding="utf-8")
+        assert _fit_error(path, capsys) == (
+            f"{path}: row 3: cannot parse 't' value 'soon'"
+        )
+
+    def test_repeated_header_name_takes_the_last_column(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        _write_csv(
+            path,
+            ["t", "d", "z", "t"],
+            [("soon", 1, 1, 1.0), ("", 1, 0, 2.0), ("x", 1, 0, 3.0), (0, 1, 1, 4.0)],
+        )
+        cohort, _ = _load(path)
+        np.testing.assert_array_equal(cohort.time, [1.0, 2.0, 3.0, 4.0])
+
+    def test_cells_are_read_with_python_float(self, tmp_path, capsys):
+        path = tmp_path / "spellings.csv"
+        cells = ["1_0", " 1.5 ", "2.5e0", "\t7\t"]
+        _write_csv(
+            path,
+            ["t", "d", "z", "x"],
+            [(c, " 1 ", k % 2, c) for k, c in enumerate(cells)],
+        )
+        cohort, _ = _load(path, covariates="x")
+        expected = [float(c) for c in cells]
+        np.testing.assert_array_equal(cohort.time, expected)
+        np.testing.assert_array_equal(cohort.covariates[:, 0], expected)
+        np.testing.assert_array_equal(cohort.event, [1, 1, 1, 1])
+        # inf is a number: it is the cohort check that refuses it
+        _write_csv(path, ["t", "d", "z"], [(1.0, 1, 0), ("inf", 1, 1), (2.0, 1, 1)])
+        assert _fit_error(path, capsys) == (
+            "times must be positive and finite; offending rows [1]"
+        )
+
+    def test_earlier_column_wins_across_blocks(self, tmp_path, capsys):
+        # 40000 rows span several blocks of the reader: the bad event cell
+        # sits in an early block, the bad time cell in a late one, and the
+        # time column is checked first
+        rows = [(1.0 + k, 1, k % 2) for k in range(40_000)]
+        rows[4] = (5.0, "yes", 0)
+        rows[38_999] = ("later", 1, 1)
+        path = tmp_path / "long.csv"
+        _write_csv(path, ["t", "d", "z"], rows)
+        assert _fit_error(path, capsys) == (
+            f"{path}: row 39000: cannot parse 't' value 'later'"
+        )
+        rows[38_999] = (39_000.0, 1, 1)
+        _write_csv(path, ["t", "d", "z"], rows)
+        assert _fit_error(path, capsys) == (
+            f"{path}: row 5: cannot parse 'd' value 'yes'"
+        )
 
     def test_missing_factorial_cell(self, tmp_path, capsys):
         path = tmp_path / "threecells.csv"
@@ -411,6 +538,64 @@ class TestLoadingErrors:
         out = json.loads(capsys.readouterr().out)
         assert out["groups"] == ["(0,0)", "(1,0)", "(0,1)", "(1,1)"]
         assert [e["group"] for e in out["estimates"]] == ["(1,0)", "(0,1)", "(1,1)"]
+
+
+class TestColumnReader:
+    """The reader parses blocks of rows column by column."""
+
+    N_ROWS = 50_000
+    COVARIATES = "x1,x2,x3,x4,x5,x6"
+
+    @pytest.fixture(scope="class")
+    def long_csv(self, tmp_path_factory):
+        # the layout of the cohort-cli benchmark CSV: a factorial cohort
+        # with three continuous and three binary covariates
+        rng = np.random.default_rng(71)
+        n = self.N_ROWS
+        x = np.hstack([rng.standard_normal((n, 3)), rng.integers(0, 2, (n, 3)) - 0.5])
+        data = np.column_stack(
+            [rng.exponential(1.0, n) + 1e-3, rng.random(n) < 0.75,
+             rng.integers(0, 2, n), rng.integers(0, 2, n), x]
+        )
+        path = tmp_path_factory.mktemp("data") / "long.csv"
+        np.savetxt(
+            path, data, fmt=["%.17g", "%d", "%d", "%d"] + ["%.17g"] * 6,
+            delimiter=",", header="time,event,z1,z2," + self.COVARIATES, comments="",
+        )
+        return path
+
+    def _args(self, path):
+        return wcox.cli.build_parser().parse_args(
+            ["fit", str(path), "--time", "time", "--event", "event", "--z1", "z1",
+             "--z2", "z2", "--covariates", self.COVARIATES]
+        )
+
+    def test_blocks_read_every_cell_as_python_float(self, long_csv):
+        assert self.N_ROWS > 2 * wcox.cli._BLOCK_ROWS
+        cohort, _ = wcox.cli._load_cohort(self._args(long_csv))
+        with open(long_csv, encoding="utf-8") as fh:
+            next(fh)
+            cells = np.array([[float(c) for c in line.split(",")] for line in fh])
+        np.testing.assert_array_equal(cohort.time, cells[:, 0])
+        np.testing.assert_array_equal(cohort.event, cells[:, 1])
+        np.testing.assert_array_equal(cohort.treatment, cells[:, 2] + 2 * cells[:, 3])
+        np.testing.assert_array_equal(cohort.covariates, cells[:, 4:])
+
+    def test_peak_memory_is_a_small_multiple_of_the_cohort(self, long_csv):
+        # a reader holding every row as strings peaks at about 14x the
+        # bytes of the arrays it returns
+        args = self._args(long_csv)
+        tracemalloc.start()
+        try:
+            cohort, _ = wcox.cli._load_cohort(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            a.nbytes
+            for a in (cohort.time, cohort.event, cohort.treatment, cohort.covariates)
+        )
+        assert peak <= 4 * held, (peak, held)
 
 
 class TestKm:

@@ -35,7 +35,7 @@ from wcox import (
 from wcox import marginal_cox
 from wcox._engine import _risk_tables, fit_cox
 from wcox.data_model import _indicators
-from wcox.propensity import _weigh
+from wcox.propensity import _CHUNK, _weigh
 from wcox.weighted_km import weighted_km
 
 
@@ -489,6 +489,70 @@ class TestSandwich:
         np.testing.assert_allclose(res.cov_tau, brute_cov, rtol=1e-9)
 
 
+def _materialised_cov_tau(co, fit, w, tau):
+    """cov_tau from the (n, J(p+1)) arrays: U = psi_c - pi a_gg^- a_tg' whole."""
+    pieces = stacked_pieces(co, fit, w, tau)
+    g = np.linalg.lstsq(pieces.a_gg, pieces.a_tg.T, rcond=None)[0]
+    u = pieces.psi_c - pieces.pi @ g
+    a_inv = np.linalg.inv(pieces.a_tt)
+    cov = a_inv @ (u.T @ u / co.n) @ a_inv.T / co.n
+    return (cov + cov.T) / 2.0
+
+
+class TestChunkedSandwich:
+    """The sandwich sums U'U and a_tg over chunks of `propensity._CHUNK`
+    units instead of forming the (n, J(p+1)) arrays."""
+
+    @pytest.fixture(scope="class")
+    def long_cohort(self):
+        co = random_survival_cohort(np.random.default_rng(41), n=40_000, j=2, p=3)
+        assert co.n > 2 * _CHUNK
+        return co, fit_multinomial_logit(co)
+
+    @pytest.mark.parametrize("scheme", ["ipw", "ow"])
+    def test_long_cohort_matches_the_joint_sandwich(self, long_cohort, scheme):
+        co, fit = long_cohort
+        w = compute_weights(fit, co.treatment, scheme)
+        tau = fit_mhr(co, w).tau
+        res = sandwich_covariance(co, fit, w, tau)
+        a, b = stacked_bread_meat(stacked_pieces(co, fit, w, tau))
+        a_inv = np.linalg.inv(a)
+        joint = a_inv @ b @ a_inv.T / co.n
+        j = co.n_treatments
+        np.testing.assert_allclose(res.cov_tau, joint[:j, :j], rtol=1e-12)
+        np.testing.assert_allclose(
+            res.cov_tau, _materialised_cov_tau(co, fit, w, tau), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [200, _CHUNK])
+    def test_one_chunk_is_the_materialised_formula_bit_for_bit(self, n):
+        co = random_survival_cohort(np.random.default_rng(42), n=n, j=2, p=3)
+        fit = fit_multinomial_logit(co)
+        for scheme, target in _SANDWICH_SCHEMES:
+            w = compute_weights(fit, co.treatment, scheme, target)
+            tau = fit_mhr(co, w).tau
+            res = sandwich_covariance(co, fit, w, tau)
+            np.testing.assert_array_equal(
+                res.cov_tau, _materialised_cov_tau(co, fit, w, tau), err_msg=scheme
+            )
+
+
+def test_robust_fit_sorts_the_times_once(monkeypatch):
+    co = random_survival_cohort(np.random.default_rng(43), n=300, j=2, p=2)
+    calls = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    for scheme in ("ipw", "ow"):
+        fit_weighted_mhr(co, scheme, variance="robust")
+    # the two tau fits and the two sandwiches read the cohort's one order
+    assert calls == [(co.n,)]
+
+
 def _rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -650,7 +714,12 @@ class TestTablePath:
         co = tied_cohort
         _, _, w, _ = _weigh(co, "ipw")
         f, r, _ = _risk_tables(
-            co.time, co.event, co.treatment, w.weights[None], co.n_treatments + 1
+            co.time,
+            co.event,
+            co.treatment,
+            w.weights[None],
+            co.n_treatments + 1,
+            np.argsort(co.time, kind="stable"),
         )
         times = np.unique(co.time[co.event == 1])
         for g in range(co.n_treatments + 1):
