@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ConvergenceError, ValidationError
+from .data_model import Cohort, ConvergenceError, ValidationError
 
 __all__ = ["CoxProblem", "CoxFitCore", "fit_cox"]
 
@@ -114,10 +114,8 @@ class CoxFitCore:
 
     beta: np.ndarray
     loglik: float
-    score: np.ndarray
     info: np.ndarray
     iterations: int
-    score_norm: float  # gradient inf-norm on the mean-one weight scale
 
 
 @dataclass(frozen=True)
@@ -250,18 +248,19 @@ _COX_LIMITS = _NewtonLimits(
 )
 
 
-def _risk_tables(time, event, arm, weights, arms: int, order):
-    """Event and at-risk tables of the indicator design, one per row of
-    `weights` (B, n); `order` is the stable argsort of `time`.
+def _risk_tables(cohort: Cohort, weights):
+    """Event and at-risk tables of the cohort's indicator design, one per
+    row of `weights` (B, n), accumulated in the cohort's time order.
 
     At each distinct event time t_k, in ascending order, and arm z:
     F[b, k, z] is the weight of arm z's events at t_k and R[b, k, z] the
     weight of arm z still at risk (time >= t_k).  Returns (F, R, times): F
-    and R of shape (B, T, arms), and times the T event times.
+    and R of shape (B, T, J+1), and times the T event times.
     """
-    t = time[order]
-    d = np.asarray(event)[order].astype(bool)
-    w = weights[:, order, None] * (arm[order, None] == np.arange(arms))
+    order = cohort._time_order
+    t = cohort.time[order]
+    d = cohort.event[order].astype(bool)
+    w = weights[:, order, None] * cohort._arm_onehot[order]
     t_ev = t[d]
     # the event times are sorted: a tie block starts where the time changes
     first = np.flatnonzero(np.diff(t_ev, prepend=-np.inf))
@@ -294,7 +293,7 @@ def _table_quantities(tau, f_total, f_dot, r):
     return loglik, f_total[:, 1:] - mean, info, full, f_dot / s0, dbar
 
 
-def _fit_risk_tables(time, event, arm, weights, arms: int, order):
+def _fit_risk_tables(cohort: Cohort, weights):
     """`fit_cox` of the indicator design on the tables of `_risk_tables`,
     one fit per row of `weights` (B, n), with its rules: each row is
     rescaled to mean one, the tolerance is max(1e-9, 1024 eps (weighted
@@ -303,13 +302,13 @@ def _fit_risk_tables(time, event, arm, weights, arms: int, order):
     inf-norms on the mean-one scale), errors (a ConvergenceError or None
     per row))."""
     wbar = weights.sum(axis=1) / weights.shape[1]
-    f, r, _ = _risk_tables(time, event, arm, weights / wbar[:, None], arms, order)
+    f, r, _ = _risk_tables(cohort, weights / wbar[:, None])
     f_total = f.sum(axis=1)
     f_dot = f.sum(axis=2)
     w_ev_total = f_total.sum(axis=1)
     tau, values, iterations, gnorm, errors = _damped_newton(
         lambda x, rows: _table_quantities(x, f_total[rows], f_dot[rows], r[rows])[:3],
-        np.zeros((f.shape[0], arms - 1)),
+        np.zeros((f.shape[0], cohort.n_treatments)),
         np.maximum(1e-9, 1024.0 * np.finfo(np.float64).eps * w_ev_total),
         _COX_LIMITS,
     )
@@ -325,7 +324,7 @@ def fit_cox(time, event, design, weights) -> CoxFitCore:
     1e-9 within 50 iterations.  Weights are rescaled to mean one
     internally, which keeps the gradient tolerance meaningful across
     weight scales and makes the iterate sequence invariant to positive
-    rescaling of the weights; reported loglik/score/info are transformed
+    rescaling of the weights; the reported loglik and info are transformed
     back to the raw weight scale.
 
     Raises
@@ -351,7 +350,7 @@ def fit_cox(time, event, design, weights) -> CoxFitCore:
     # noise (only reachable for cohorts in the millions of records)
     w_ev_total = float(np.sum(prob.w_ev))
     tol = max(1e-9, 1024.0 * np.finfo(np.float64).eps * w_ev_total)
-    beta, values, iterations, gnorm, errors = _damped_newton(
+    beta, values, iterations, _, errors = _damped_newton(
         lambda b, _: _one_row(prob.quantities(b[0])),
         np.zeros((1, prob.q)),
         tol,
@@ -359,15 +358,11 @@ def fit_cox(time, event, design, weights) -> CoxFitCore:
     )
     if errors[0] is not None:
         raise errors[0]
-    loglik, score, info = (float(values[0][0]), values[1][0], values[2][0])
-
-    # exact raw-scale transforms: score and info are degree-1 homogeneous
-    # in the weights; the loglik picks up -log(wbar) per weighted event
+    # exact raw-scale transforms: info is degree-1 homogeneous in the
+    # weights; the loglik picks up -log(wbar) per weighted event
     return CoxFitCore(
         beta=beta[0],
-        loglik=wbar * (loglik - np.log(wbar) * w_ev_total),
-        score=wbar * score,
-        info=wbar * info,
+        loglik=wbar * (float(values[0][0]) - np.log(wbar) * w_ev_total),
+        info=wbar * values[2][0],
         iterations=int(iterations[0]),
-        score_norm=float(gnorm[0]),
     )

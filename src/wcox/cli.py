@@ -417,7 +417,7 @@ def _cmd_balance(args) -> int:
     for row in report.to_rows():
         lines.append(
             f"{row['covariate']},{row['group_a']},{row['group_b']},"
-            f"{_csv_num(row['smd_unweighted'])},{_csv_num(row['smd_weighted'])}"
+            f"{float(row['smd_unweighted'])!r},{float(row['smd_weighted'])!r}"
         )
     content = "\n".join(lines) + "\n"
     if args.out_csv:
@@ -447,11 +447,6 @@ def _cmd_balance(args) -> int:
         )
     )
     return 0
-
-
-def _csv_num(v) -> str:
-    v = float(v)
-    return "nan" if math.isnan(v) else repr(v)
 
 
 def _read_scenario_file(path: str) -> dict:

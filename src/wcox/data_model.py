@@ -38,13 +38,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _one_hot(treatment: np.ndarray, groups: int) -> np.ndarray:
+    """(n, groups) 0/1 matrix: column k marks the units of group k, and a
+    unit of any other group has a row of zeros."""
+    d = np.zeros((treatment.shape[0], groups))
+    for k in range(groups):
+        d[treatment == k, k] = 1.0
+    return d
+
+
 def _indicators(treatment: np.ndarray, n_treatments: int) -> np.ndarray:
     """(n, J) 0/1 matrix of the non-reference groups: column k-1 marks
     group k, and rows of the reference group 0 are all zero."""
-    d = np.zeros((treatment.shape[0], n_treatments))
-    pos = treatment >= 1
-    d[np.flatnonzero(pos), treatment[pos] - 1] = 1.0
-    return d
+    return _one_hot(treatment - 1, n_treatments)
 
 
 @dataclass(frozen=True)
@@ -88,9 +94,14 @@ class Cohort:
 
     @cached_property
     def _time_order(self) -> np.ndarray:
-        """Stable argsort of `time`, the order of every risk table of the
-        cohort; computed once per cohort."""
+        """Stable argsort of `time`, the order of every risk table and
+        Kaplan-Meier curve of the cohort; computed once per cohort."""
         return np.argsort(self.time, kind="stable")
+
+    @cached_property
+    def _arm_onehot(self) -> np.ndarray:
+        """(n, J+1) one-hot of `treatment`, computed once per cohort."""
+        return _one_hot(self.treatment, len(self.treatment_labels))
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.treatment_labels))

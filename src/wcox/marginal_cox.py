@@ -73,9 +73,7 @@ def _tables_at(cohort: Cohort, weights: WeightSet, tau):
     if not np.all(np.isfinite(tau)):
         raise ValidationError("tau must be finite")
     w = _checked_weights(cohort.time, weights.weights)
-    f, r, times = _risk_tables(
-        cohort.time, cohort.event, cohort.treatment, w[None], j + 1, cohort._time_order
-    )
+    f, r, times = _risk_tables(cohort, w[None])
     at = np.searchsorted(times, cohort.time, side="right")
     values = _table_quantities(tau[None], f.sum(axis=1), f.sum(axis=2), r)
     return w, at, [v[0] for v in values]
@@ -168,9 +166,7 @@ def fit_mhr(cohort: Cohort, weights: WeightSet) -> MhrEstimate:
     w = _checked_weights(cohort.time, weights.weights)
     if not np.any(w[cohort.event == 1] > 0.0):
         raise ValidationError("all events carry zero weight")
-    tau, loglik, iterations, gnorm, errors = _fit_risk_tables(
-        cohort.time, cohort.event, cohort.treatment, w[None], j + 1, cohort._time_order
-    )
+    tau, loglik, iterations, gnorm, errors = _fit_risk_tables(cohort, w[None])
     if errors[0] is not None:
         raise errors[0]
     return MhrEstimate(
@@ -254,7 +250,7 @@ def _tau_pieces(cohort: Cohort, weights: WeightSet, tau):
     j = cohort.n_treatments
     c0 = np.concatenate([[0.0], np.cumsum(jump)])[at]
     c1 = np.concatenate([np.zeros((1, j)), np.cumsum(jump[:, None] * dbar, axis=0)])[at]
-    d = _indicators(cohort.treatment, j)
+    d = cohort._arm_onehot[:, 1:]
     ev = np.flatnonzero(cohort.event == 1)
     psi = np.zeros((n, j))
     # an event unit's own time is the at-th event time
@@ -406,8 +402,7 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
     else 1 + the index in `_DROP_STAGES` of the stage that stopped it.
     """
     j = cohort.n_treatments
-    arm = (cohort.treatment[:, None] == np.arange(j + 1)).astype(np.float64)
-    stage = np.where(np.any(counts @ arm == 0.0, axis=1), 1, 0)
+    stage = np.where(np.any(counts @ cohort._arm_onehot == 0.0, axis=1), 1, 0)
     weights = counts.astype(np.float64)
     ridged = False
     rows = np.flatnonzero(stage == 0)
@@ -419,19 +414,12 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
         )
         weights[rows] *= w
         stage[rows[bad | [e is not None for e in errors]]] = 2
-    no_events = np.any((counts * cohort.event) @ arm == 0.0, axis=1)
+    no_events = np.any((counts * cohort.event) @ cohort._arm_onehot == 0.0, axis=1)
     stage[(stage == 0) & no_events] = 3
     rows = np.flatnonzero(stage == 0)
     tau = np.zeros((counts.shape[0], j))
     if rows.size:
-        tau[rows], _, _, _, errors = _fit_risk_tables(
-            cohort.time,
-            cohort.event,
-            cohort.treatment,
-            weights[rows],
-            j + 1,
-            cohort._time_order,
-        )
+        tau[rows], _, _, _, errors = _fit_risk_tables(cohort, weights[rows])
         stage[rows[[e is not None for e in errors]]] = 3
     return tau, stage, ridged
 

@@ -629,13 +629,11 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
         se[scheme] = np.sqrt(np.diag(sand.cov_tau))
         se_boot[scheme] = np.sqrt(np.diag(boot.cov_tau))
 
-    naive = fit_cox(
-        cohort.time, cohort.event, _indicators(cohort.treatment, j), np.ones(cohort.n)
-    )
+    naive = fit_cox(cohort.time, cohort.event, cohort._arm_onehot[:, 1:], np.ones(cohort.n))
     tau["naive"] = naive.beta
     se["naive"] = np.sqrt(np.diag(np.linalg.inv(naive.info)))
 
-    design = np.hstack([_indicators(cohort.treatment, j), cohort.covariates])
+    design = np.hstack([cohort._arm_onehot[:, 1:], cohort.covariates])
     mv = fit_cox(cohort.time, cohort.event, design, np.ones(cohort.n))
     tau["multivariable"] = mv.beta[:j]
     se["multivariable"] = np.sqrt(np.diag(np.linalg.inv(mv.info))[:j])
@@ -772,15 +770,26 @@ def run_study(
     Replicates may run in parallel (WCOX_THREADS caps the workers), each
     on one BLAS thread, so their results depend neither on the worker
     count and execution order nor on the host's BLAS thread count.
-    Estimands computed here run on the host's BLAS threads.
+    Estimands computed here run on the host's BLAS threads.  A supplied
+    estimand of another setting, psi or scheme than the cell and its key,
+    or with the wrong number of components, raises ValidationError before
+    any calibration.
     """
+    estimands = dict(estimands or {})
+    labels = _design(config.setting).labels
+    j = len(labels) - 1
+    for key, est in estimands.items():
+        got = (est.setting, est.psi, est.scheme, np.shape(est.tau_star))
+        want = (config.setting, config.psi, key, (j,))
+        if got != want:
+            raise ValidationError(
+                f"estimand {key!r} has (setting, psi, scheme, tau_star shape) {got}; "
+                f"the cell needs {want}"
+            )
     alpha = _study_intercepts(config.setting, config.psi)
     lambda_c = calibrate_censoring(
         config.setting, config.psi, alpha, config.censoring
     )
-    if estimands is None:
-        estimands = {}
-    estimands = dict(estimands)
     for k, scheme in enumerate(("ipw", "ow")):
         if scheme not in estimands:
             estimands[scheme] = true_estimand(
@@ -839,8 +848,6 @@ def run_study(
     if not oks:
         raise StudyError("study aborted: no replicate succeeded")
 
-    j = targets["ipw"].shape[0]
-    labels = _design(config.setting).labels
     z95 = NormalDist().inv_cdf(0.975)
     rows = []
     for method in _METHODS:

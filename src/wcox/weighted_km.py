@@ -62,16 +62,16 @@ def weighted_km(cohort: Cohort, weights: WeightSet, group: int) -> KmCurve:
     g = cohort.n_treatments + 1
     if not (0 <= group < g):
         raise ValidationError(f"group must lie in 0..{g - 1}")
-    rows = np.flatnonzero(cohort.treatment == group)
+    # the group's units in the cohort's stable time order
+    order = cohort._time_order
+    rows = order[cohort.treatment[order] == group]
     if rows.size == 0:
         raise ValidationError(f"group {group} has no units")
-    t = cohort.time[rows]
-    d = cohort.event[rows].astype(np.float64)
-    w = weights.weights[rows]
-
-    order = np.argsort(t, kind="stable")
-    t_s, d_s, w_s = t[order], d[order], w[order]
-    uniq, seg_start = np.unique(t_s, return_index=True)
+    t_s = cohort.time[rows]
+    d_s = cohort.event[rows].astype(np.float64)
+    w_s = weights.weights[rows]
+    # the times are sorted: a tie block starts where the time changes
+    seg_start = np.flatnonzero(np.diff(t_s, prepend=-np.inf))
     seg_end = np.append(seg_start[1:], t_s.shape[0])
     # one sequential prefix sum per quantity; block totals are prefix
     # differences, so the reproduction order is pinned regardless of how
@@ -90,7 +90,7 @@ def weighted_km(cohort: Cohort, weights: WeightSet, group: int) -> KmCurve:
     return KmCurve(
         group=int(group),
         label=cohort.treatment_labels[group],
-        times=np.concatenate([[0.0], uniq[ev]]),
+        times=np.concatenate([[0.0], t_s[seg_start[ev]]]),
         survival=survival,
         weighted_events=np.concatenate([[0.0], seg_wd[ev]]),
         weighted_at_risk=np.concatenate([[total_w], at_risk[ev]]),

@@ -1,11 +1,12 @@
 """End-to-end acceptance runs at desk scale.
 
 Exercises the full pipeline the way a user would: large-sample estimand
-computation through the CLI, two 200-replicate three-group simulation
-cells and one 1000-replicate factorial cell, oracle cross-checks against
+computation through the CLI, two 1000-replicate three-group simulation
+cells, a 200-replicate three-group cell for the bootstrap SE and one
+1000-replicate factorial cell, oracle cross-checks against
 derivative-free optimizers and brute-force formulas, covariate-balance
 guarantees, byte-identity of every command, and the poor-overlap
-trimming demonstration.  Expect roughly ten minutes on two cores:
+trimming demonstration.  Expect about five minutes on two cores:
 
     python3 -m pytest tests/test_acceptance.py -v
 
@@ -151,9 +152,26 @@ def estimand_payloads():
     return results
 
 
+# The coverage gates need a Monte Carlo error small next to their
+# [0.92, 0.99] band.  Near a true coverage of 0.94 the Monte Carlo SE,
+# sqrt(c(1-c)/R), is 0.017 at R=200, as large as the gap to the 0.92
+# floor: the first 200 factorial replicates of this seed give OW tau_2
+# coverage 0.895, and about one seed in four fails one of the three
+# components.  At R=1000 the SE is 0.0075; the same seed gives OW
+# coverage 0.941/0.939/0.945 (factorial, psi=1), 0.938/0.943 (multi3,
+# psi=1) and 0.927/0.939 (multi3, psi=3).  Replicate r is seeded from
+# (_STUDY_SEED, r, 0), so the first 200 replicates are the 200-replicate
+# cell's own: the sample is extended, not re-drawn.
+#
+# bootstrap_b=2 (the smallest ScenarioConfig accepts) drops no check:
+# coverage uses the sandwich SE and no assertion on these cells reads a
+# bootstrap quantity.  At B=2 one dropped resample fails its replicate,
+# which run_study counts and aborts on above 5%; replicates_used is
+# printed with the results.
 @pytest.fixture(scope="module")
 def table_multi3(estimand_payloads):
-    """Three-group cells at 25% censoring: psi=1 and psi=3."""
+    """Three-group cells at 25% censoring and 1000 replicates: psi=1 and
+    psi=3."""
     cells = {}
     cells[1.0] = _study(
         "multi3",
@@ -162,6 +180,8 @@ def table_multi3(estimand_payloads):
             "ipw": _as_estimand(estimand_payloads[("multi3", "ipw", 1.0)][0]),
             "ow": _as_estimand(estimand_payloads[("multi3", "ow", 1.0)][0]),
         },
+        replicates=1000,
+        bootstrap_b=2,
     )
     # the psi=3 IPW estimand is not part of the reference grid; run_study
     # computes it on demand
@@ -169,25 +189,26 @@ def table_multi3(estimand_payloads):
         "multi3",
         3.0,
         {"ow": _as_estimand(estimand_payloads[("multi3", "ow", 3.0)][0])},
+        replicates=1000,
+        bootstrap_b=2,
     )
     return cells
 
 
-# The factorial coverage gate needs a Monte Carlo error small next to
-# its [0.92, 0.99] band.  Near a true coverage of 0.94 the Monte Carlo
-# SE, sqrt(c(1-c)/R), is 0.017 at R=200, as large as the gap to the
-# 0.92 floor: the first 200 replicates of this seed give OW tau_2
-# coverage 0.895, and about one seed in four fails one of the three
-# components.  At R=1000 the SE is 0.0075; the same seed gives OW
-# coverage 0.941/0.939/0.945.  Replicate r is seeded from
-# (_STUDY_SEED, r, 0), so the first 200 replicates are the 200-replicate
-# cell's own: the sample is extended, not re-drawn.
-#
-# bootstrap_b=2 (the smallest ScenarioConfig accepts) drops no check:
-# coverage uses the sandwich SE and no assertion here reads a bootstrap
-# quantity.  At B=2 one dropped resample fails its replicate, which
-# run_study counts and aborts on above 5%; replicates_used is printed
-# with the results.
+@pytest.fixture(scope="module")
+def multi3_bootstrap_cell(estimand_payloads):
+    """The psi=1 three-group cell at 200 replicates and B=100, whose
+    bootstrap SE the SE agreement test reads."""
+    return _study(
+        "multi3",
+        1.0,
+        {
+            "ipw": _as_estimand(estimand_payloads[("multi3", "ipw", 1.0)][0]),
+            "ow": _as_estimand(estimand_payloads[("multi3", "ow", 1.0)][0]),
+        },
+    )
+
+
 @pytest.fixture(scope="module")
 def table_factorial(estimand_payloads):
     """Factorial cell at psi=1, 25% censoring, 1000 replicates."""
@@ -243,7 +264,8 @@ def test_multi3_study_operating_characteristics(table_multi3):
     assert ow3.coverage >= 0.90
     assert t1 + t3 <= 1800.0
     print(
-        f"PASS multi3 cells ({t1 + t3:.0f}s): psi=1 OW bias "
+        f"PASS multi3 cells ({t1 + t3:.0f}s, {rep1.replicates_used}/"
+        f"{rep3.replicates_used} replicates): psi=1 OW bias "
         f"{_row(rep1, 'ow', 0).rel_bias:+.3f}/{_row(rep1, 'ow', 1).rel_bias:+.3f} "
         f"cov {_row(rep1, 'ow', 0).coverage:.3f}/{_row(rep1, 'ow', 1).coverage:.3f}, "
         f"naive {naive.rel_bias:+.2f} cov {naive.coverage:.3f}, "
@@ -273,8 +295,8 @@ def test_factorial_study_operating_characteristics(table_factorial):
     )
 
 
-def test_se_estimates_agree_with_monte_carlo_sd(table_multi3):
-    rep1, _ = table_multi3[1.0]
+def test_se_estimates_agree_with_monte_carlo_sd(multi3_bootstrap_cell):
+    rep1, _ = multi3_bootstrap_cell
     lines = []
     for k in range(2):
         ow = _row(rep1, "ow", k)

@@ -540,38 +540,38 @@ class TestLoadingErrors:
         assert [e["group"] for e in out["estimates"]] == ["(1,0)", "(0,1)", "(1,1)"]
 
 
+_LONG_ROWS = 50_000
+_LONG_FLAGS = ["--time", "time", "--event", "event", "--z1", "z1", "--z2", "z2",
+               "--covariates", "x1,x2,x3,x4,x5,x6"]
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    # the layout of the cohort-cli benchmark CSV: a factorial cohort with
+    # three continuous and three binary covariates
+    rng = np.random.default_rng(71)
+    n = _LONG_ROWS
+    x = np.hstack([rng.standard_normal((n, 3)), rng.integers(0, 2, (n, 3)) - 0.5])
+    data = np.column_stack(
+        [rng.exponential(1.0, n) + 1e-3, rng.random(n) < 0.75,
+         rng.integers(0, 2, n), rng.integers(0, 2, n), x]
+    )
+    path = tmp_path_factory.mktemp("data") / "long.csv"
+    np.savetxt(
+        path, data, fmt=["%.17g", "%d", "%d", "%d"] + ["%.17g"] * 6,
+        delimiter=",", header="time,event,z1,z2,x1,x2,x3,x4,x5,x6", comments="",
+    )
+    return path
+
+
 class TestColumnReader:
     """The reader parses blocks of rows column by column."""
 
-    N_ROWS = 50_000
-    COVARIATES = "x1,x2,x3,x4,x5,x6"
-
-    @pytest.fixture(scope="class")
-    def long_csv(self, tmp_path_factory):
-        # the layout of the cohort-cli benchmark CSV: a factorial cohort
-        # with three continuous and three binary covariates
-        rng = np.random.default_rng(71)
-        n = self.N_ROWS
-        x = np.hstack([rng.standard_normal((n, 3)), rng.integers(0, 2, (n, 3)) - 0.5])
-        data = np.column_stack(
-            [rng.exponential(1.0, n) + 1e-3, rng.random(n) < 0.75,
-             rng.integers(0, 2, n), rng.integers(0, 2, n), x]
-        )
-        path = tmp_path_factory.mktemp("data") / "long.csv"
-        np.savetxt(
-            path, data, fmt=["%.17g", "%d", "%d", "%d"] + ["%.17g"] * 6,
-            delimiter=",", header="time,event,z1,z2," + self.COVARIATES, comments="",
-        )
-        return path
-
     def _args(self, path):
-        return wcox.cli.build_parser().parse_args(
-            ["fit", str(path), "--time", "time", "--event", "event", "--z1", "z1",
-             "--z2", "z2", "--covariates", self.COVARIATES]
-        )
+        return wcox.cli.build_parser().parse_args(["fit", str(path)] + _LONG_FLAGS)
 
     def test_blocks_read_every_cell_as_python_float(self, long_csv):
-        assert self.N_ROWS > 2 * wcox.cli._BLOCK_ROWS
+        assert _LONG_ROWS > 2 * wcox.cli._BLOCK_ROWS
         cohort, _ = wcox.cli._load_cohort(self._args(long_csv))
         with open(long_csv, encoding="utf-8") as fh:
             next(fh)
@@ -596,6 +596,27 @@ class TestColumnReader:
             for a in (cohort.time, cohort.event, cohort.treatment, cohort.covariates)
         )
         assert peak <= 4 * held, (peak, held)
+
+
+@pytest.mark.parametrize(
+    "command", [["fit", "--variance", "robust"], ["km"], ["balance"]], ids=lambda c: c[0]
+)
+def test_stdout_does_not_depend_on_the_blas_threads(long_csv, command):
+    # at 50000 rows the propensity information and the sandwich are sums
+    # of BLAS products over several 16384-unit chunks; the thread count
+    # OpenBLAS may use must not reach stdout
+    src = str(Path(wcox.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "wcox.cli", command[0], str(long_csv)]
+    argv += _LONG_FLAGS + ["--weight-scheme", "ow"] + command[1:]
+    outs = [
+        subprocess.run(
+            argv,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, timeout=600, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
 
 
 class TestKm:

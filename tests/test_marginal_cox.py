@@ -713,14 +713,7 @@ class TestTablePath:
     def test_weighted_km_counts_the_same_tables(self, tied_cohort):
         co = tied_cohort
         _, _, w, _ = _weigh(co, "ipw")
-        f, r, _ = _risk_tables(
-            co.time,
-            co.event,
-            co.treatment,
-            w.weights[None],
-            co.n_treatments + 1,
-            np.argsort(co.time, kind="stable"),
-        )
+        f, r, _ = _risk_tables(co, w.weights[None])
         times = np.unique(co.time[co.event == 1])
         for g in range(co.n_treatments + 1):
             curve = weighted_km(co, w, g)

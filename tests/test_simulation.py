@@ -1,8 +1,10 @@
 """Data-generating process, calibration, estimands, and the study harness."""
 
+import dataclasses
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -542,6 +544,48 @@ class TestRunStudy:
         buf = io.StringIO()
         report.to_csv(buf)
         assert all(line.endswith(",nan,0") for line in buf.getvalue().split("\n")[1:-1])
+
+    @pytest.mark.parametrize(
+        "config, estimands, message",
+        [
+            (
+                _FACTORIAL_CELL,
+                _fabricated_estimands(),
+                "'ipw' has (setting, psi, scheme, tau_star shape) "
+                "('multi3', 1.0, 'ipw', (2,)); "
+                "the cell needs ('factorial', 2.0, 'ipw', (3,))",
+            ),
+            (
+                ScenarioConfig(setting="multi3", psi=2.0, n=150, replicates=2,
+                               bootstrap_b=8, seed=777),
+                _fabricated_estimands(),
+                "('multi3', 1.0, 'ipw', (2,)); the cell needs ('multi3', 2.0, 'ipw', (2,))",
+            ),
+            (
+                _FACTORIAL_CELL,
+                {"ipw": _factorial_estimands()["ow"], "ow": _factorial_estimands()["ipw"]},
+                "('factorial', 2.0, 'ow', (3,)); "
+                "the cell needs ('factorial', 2.0, 'ipw', (3,))",
+            ),
+            (
+                _FACTORIAL_CELL,
+                {"ipw": dataclasses.replace(
+                    _factorial_estimands()["ipw"], tau_star=np.array([0.17, -0.10]))},
+                "('factorial', 2.0, 'ipw', (2,)); "
+                "the cell needs ('factorial', 2.0, 'ipw', (3,))",
+            ),
+        ],
+        ids=["setting", "psi", "scheme", "components"],
+    )
+    def test_mismatched_estimands_are_refused_before_calibration(
+        self, monkeypatch, config, estimands, message
+    ):
+        def calibrate(*args):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(wcox.simulation, "_study_intercepts", calibrate)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_study(config, estimands)
 
     def test_tiny_cohorts_abort_the_study(self):
         config = ScenarioConfig(

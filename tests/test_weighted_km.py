@@ -108,6 +108,32 @@ class TestBitwiseReproducibility:
             np.testing.assert_array_equal(cv.weighted_events, ref[2])
             np.testing.assert_array_equal(cv.weighted_at_risk, ref[3])
 
+    def test_interleaved_groups_match_the_reference_exactly(self):
+        # three to five groups whose units alternate in the input and share
+        # tied times, so each curve depends on how its group's rows are
+        # taken from the cohort's time order
+        rng = np.random.default_rng(52)
+        for trial in range(25):
+            n = int(rng.integers(30, 150))
+            g = int(rng.integers(3, 6))
+            t = rng.integers(1, 6, size=n) / 2.0
+            d = rng.integers(0, 2, size=n)
+            z = np.concatenate([np.arange(g), rng.integers(0, g, size=n - g)])
+            rng.shuffle(z)
+            co = validate_cohort(t, d, z)
+            raw = np.exp(rng.normal(scale=0.7, size=n))
+            w = _weights_from(co, raw)
+            for group in range(g):
+                rows = np.flatnonzero(co.treatment == group)
+                cv = weighted_km(co, w, group)
+                ref = python_km_reference(
+                    list(co.time[rows]), list(co.event[rows]), list(raw[rows])
+                )
+                np.testing.assert_array_equal(cv.times, ref[0])
+                np.testing.assert_array_equal(cv.survival, ref[1])
+                np.testing.assert_array_equal(cv.weighted_events, ref[2])
+                np.testing.assert_array_equal(cv.weighted_at_risk, ref[3])
+
 
 class TestTerminalEventBlock:
     def test_curve_ending_in_events_reaches_exactly_zero(self):
