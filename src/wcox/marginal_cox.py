@@ -394,9 +394,10 @@ _BATCH_UNITS = 1 << 20
 _DROP_STAGES = ("missing_group", "propensity", "cox")
 
 
-def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
+def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target, start):
     """The untrimmed pipeline on resamples given as counts (B, n), each
-    count a frequency weight on the original rows.
+    count a frequency weight on the original rows; the propensity Newton
+    starts at `start` (see `_fit_counts`).
 
     Returns (tau (B, J), stage (B,), ridged): stage is 0 for a kept draw,
     else 1 + the index in `_DROP_STAGES` of the stage that stopped it.
@@ -407,7 +408,9 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target):
     ridged = False
     rows = np.flatnonzero(stage == 0)
     if scheme != "unit" and rows.size:
-        _, _, probs, _, _, _, errors, ridged_rows = _fit_counts(cohort, counts[rows])
+        _, _, probs, _, _, _, errors, ridged_rows = _fit_counts(
+            cohort, counts[rows], start
+        )
         ridged = bool(ridged_rows.any())
         w, bad = _count_weights(
             probs, cohort.treatment, counts[rows] > 0, scheme, att_target
@@ -440,6 +443,10 @@ def bootstrap_covariance(
     each unit, used as frequency weights on the original rows, and all
     replicates are fitted in one batched Newton pass per stage; each draw
     equals the fit on its materialised resample to solver precision.
+    The full sample is the resample whose counts are all 1: it is fitted
+    once, and every resample's propensity Newton starts at its gamma (at
+    0 when that fit fails; its ridge fallback issues no warning).  The
+    tau Newton starts at 0.
     An unknown scheme or att target raises ValidationError before any
     resample is drawn.
     Replicates where a treatment group disappears, a group loses all its
@@ -459,6 +466,11 @@ def bootstrap_covariance(
     _check_scheme(scheme, att_target, cohort.n_treatments + 1)
     children = np.random.SeedSequence(seed).spawn(n_boot)
     per_pass = max(1, _BATCH_UNITS // n)
+    warm = None
+    if scheme != "unit":
+        _, gamma, _, _, _, _, errors, _ = _fit_counts(cohort, np.ones((1, n)))
+        if errors[0] is None:
+            warm = gamma[0]
     taus, stages, ridged = [], [], False
     for start in range(0, n_boot, per_pass):
         counts = np.array(
@@ -467,7 +479,9 @@ def bootstrap_covariance(
                 for child in children[start : start + per_pass]
             ]
         )
-        tau, stage, pass_ridged = _fit_resamples(cohort, counts, scheme, att_target)
+        tau, stage, pass_ridged = _fit_resamples(
+            cohort, counts, scheme, att_target, warm
+        )
         taus.append(tau)
         stages.append(stage)
         ridged |= pass_ridged

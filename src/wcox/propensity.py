@@ -191,19 +191,27 @@ def _information(ce, e, xt):
     sum_i ce[k, a, i] (1{a=b} - e[k, b, i]) x_i x_i', in the gamma.ravel()
     parameter order: per chunk of `_CHUNK` units, one product of the
     coefficients of all blocks of all fits with the outer products of the
-    design rows.
+    design rows.  The chunk's coefficient and outer-product arrays are
+    allocated once and refilled.
     """
     m, j, n = e.shape
     d = xt.shape[1]
     diag = np.arange(j)
     blocks = np.zeros((m * j * j, d * d))
+    width = min(n, _CHUNK)
+    coefs_buf = np.empty(m * j * j * width)
+    xx_buf = np.empty(width * d * d)
     for start in range(0, n, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        coefs = -ce[:, :, None, rows] * e[:, None, :, rows]
-        coefs[:, diag, diag] += ce[:, :, rows]
         x = xt[rows]
-        xx = (x[:, :, None] * x[:, None]).reshape(-1, d * d)
-        blocks += coefs.reshape(m * j * j, -1) @ xx
+        k = x.shape[0]
+        coefs = coefs_buf[: m * j * j * k].reshape(m, j, j, k)
+        np.multiply(ce[:, :, None, rows], e[:, None, :, rows], out=coefs)
+        np.negative(coefs, out=coefs)
+        coefs[:, diag, diag] += ce[:, :, rows]
+        xx = xx_buf[: k * d * d].reshape(k, d, d)
+        np.multiply(x[:, :, None], x[:, None], out=xx)
+        blocks += coefs.reshape(m * j * j, k) @ xx.reshape(k, d * d)
     return blocks.reshape(m, j, j, d, d).transpose(0, 1, 3, 2, 4).reshape(m, j * d, j * d)
 
 
@@ -213,27 +221,40 @@ def _count_quantities(theta, xt, onehot, counts):
     `counts` (frequency weights).
 
     theta (m, J(p+1)), counts (m, n) and onehot (J, n).  The
-    probabilities come back as (m, J+1, n).
+    probabilities come back as (m, J+1, n).  The logits become the
+    probabilities in place, so while the information is summed the only
+    (m, J, n) arrays held are the probabilities and their count-weighted
+    copy.
     """
     m = theta.shape[0]
     n, d = xt.shape
     j = onehot.shape[0]
-    logits = np.zeros((m, j + 1, n))
-    logits[:, 1:] = theta.reshape(m, j, d) @ xt.T
-    top = logits.max(axis=1)
-    probs = np.exp(logits - top[:, None])
+    probs = np.zeros((m, j + 1, n))
+    np.matmul(theta.reshape(m, j, d), xt.T, out=probs[:, 1:])
+    loglik = (onehot * probs[:, 1:]).sum(axis=1)
+    top = probs.max(axis=1)
+    probs -= top[:, None]
+    np.exp(probs, out=probs)
     total = probs.sum(axis=1)
     probs /= total[:, None]
-    lse = top + np.log(total)
-    loglik = np.sum(counts * ((onehot * logits[:, 1:]).sum(axis=1) - lse), axis=1)
+    np.log(total, out=total)
+    total += top
+    loglik -= total
+    loglik *= counts
+    loglik = loglik.sum(axis=1)
+    del top, total
     ce = counts[:, None] * probs[:, 1:]
+    # numpy lays this difference out after its operands, and the layout
+    # picks the BLAS routine of the product and so its last bits: formed
+    # in place, the residual changes them at some shapes
     score = ((counts[:, None] * onehot - ce) @ xt).reshape(m, j * d)
     return loglik, score, _information(ce, probs[:, 1:], xt), probs
 
 
-def _fit_counts(cohort: Cohort, counts):
+def _fit_counts(cohort: Cohort, counts, start=None):
     """Multinomial-logit fits of the cohort, one per row of `counts` (B, n)
     of frequency weights, with the rules of `fit_multinomial_logit`.
+    Every row's Newton starts at `start` (J, p+1), or at 0 when it is None.
 
     Returns (design (n, p+1), gamma (B, J, p+1), probs (B, n, J+1),
     loglik (B,), iterations (B,), gnorm (B,), errors, ridged (B,)): errors
@@ -252,7 +273,7 @@ def _fit_counts(cohort: Cohort, counts):
 
     theta, values, iterations, gnorm, errors = _damped_newton(
         lambda th, rows: _count_quantities(th, xt, onehot, counts[rows]),
-        np.zeros((len(counts), j * d)),
+        np.broadcast_to(0.0 if start is None else np.ravel(start), (len(counts), j * d)),
         1e-8,
         _PROPENSITY_LIMITS,
         regularize,

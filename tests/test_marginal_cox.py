@@ -32,10 +32,11 @@ from wcox import (
     stacked_pieces,
     validate_cohort,
 )
-from wcox import marginal_cox
+from wcox import marginal_cox, propensity
 from wcox._engine import _risk_tables, fit_cox
 from wcox.data_model import _indicators
 from wcox.propensity import _CHUNK, _weigh
+from wcox.simulation import make_replicate
 from wcox.weighted_km import weighted_km
 
 
@@ -763,6 +764,30 @@ def _single_event_cohort():
     return validate_cohort(co.time, event, co.treatment, co.covariates)
 
 
+def _steep_propensity_cohort():
+    """A binary cohort whose propensity slope lies beyond the |gamma| <= 30
+    bound: the full-sample fit fails, and about half of the resamples fit
+    a slope within it."""
+    rng = np.random.default_rng(29)
+    n = 90
+    x = 0.1 * rng.normal(size=n)
+    z = (rng.random(n) < 1.0 / (1.0 + np.exp(-30.0 * x))).astype(int)
+    return validate_cohort(rng.exponential(1.0, n), np.ones(n, dtype=int), z, x[:, None])
+
+
+def _newton_starts(monkeypatch):
+    """Record the start of every propensity Newton run."""
+    starts = []
+    newton = propensity._damped_newton
+
+    def spy(evaluate, x, *args):
+        starts.append(np.array(x))
+        return newton(evaluate, x, *args)
+
+    monkeypatch.setattr(propensity, "_damped_newton", spy)
+    return starts
+
+
 def _resample_pipeline(co, scheme, n_boot, seed, att_target=None):
     """The per-resample pipeline that bootstrap_covariance batches: each
     resample is materialised with Cohort.subset and goes through the
@@ -883,6 +908,48 @@ class TestBootstrap:
         split = bootstrap_covariance(co, "ow", 30, 5, max_drop_fraction=0.95)
         assert split.drop_reasons == one.drop_reasons
         np.testing.assert_allclose(split.draws, one.draws, rtol=0, atol=1e-12)
+
+    def test_resamples_start_at_the_full_sample_fit(self, monkeypatch):
+        # replicate 0 of the benchmark's study cell (factorial, psi = 2,
+        # n = 1000, 25% censoring); from gamma = 0 the batched propensity
+        # Newton evaluates its 100 resamples 7 times
+        alpha = [
+            float.fromhex(h)
+            for h in ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")
+        ]
+        co = make_replicate(
+            "factorial", 2.0, alpha, 0.25, 1000,
+            np.random.default_rng(np.random.SeedSequence((1, 0, 0))),
+        )
+        starts = _newton_starts(monkeypatch)
+        sizes = []
+        evaluate = propensity._count_quantities
+
+        def count(theta, *args):
+            sizes.append(theta.shape[0])
+            return evaluate(theta, *args)
+
+        monkeypatch.setattr(propensity, "_count_quantities", count)
+        boot = bootstrap_covariance(co, "ipw", 100, (1, 0, 1))
+        assert boot.n_dropped == 0
+        assert sum(size > 1 for size in sizes) == 5
+        full, resamples = starts
+        assert not full.any()
+        gamma = fit_multinomial_logit(co).gamma.ravel()
+        np.testing.assert_array_equal(resamples, np.tile(gamma, (100, 1)))
+
+    def test_failed_full_sample_fit_starts_the_resamples_at_zero(self, monkeypatch):
+        co = _steep_propensity_cohort()
+        with pytest.raises(ConvergenceError, match="beyond"):
+            fit_multinomial_logit(co)
+        starts = _newton_starts(monkeypatch)
+        boot = bootstrap_covariance(co, "ipw", 30, 5, max_drop_fraction=0.95)
+        assert [s.shape[0] for s in starts] == [1, 30]
+        assert not starts[1].any()
+        draws, reasons = _resample_pipeline(co, "ipw", 30, 5)
+        assert boot.drop_reasons == reasons
+        assert 0 < reasons["propensity"] < 30
+        np.testing.assert_allclose(boot.draws, draws, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
         "cohort, scheme, target, stage",

@@ -1,5 +1,6 @@
 """Multinomial propensity model, balancing weights, trimming, balance."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,93 @@ def test_fit_is_invariant_to_row_order(multi_chunk_cohort):
         rtol=0,
         atol=1e-10,
     )
+
+
+def _reference_information(ce, e, xt):
+    """`_information` as first written: fresh coefficient and outer-product
+    arrays per chunk, the coefficients negated before the product."""
+    m, j, n = e.shape
+    d = xt.shape[1]
+    diag = np.arange(j)
+    blocks = np.zeros((m * j * j, d * d))
+    for start in range(0, n, propensity._CHUNK):
+        rows = slice(start, start + propensity._CHUNK)
+        coefs = -ce[:, :, None, rows] * e[:, None, :, rows]
+        coefs[:, diag, diag] += ce[:, :, rows]
+        x = xt[rows]
+        xx = (x[:, :, None] * x[:, None]).reshape(-1, d * d)
+        blocks += coefs.reshape(m * j * j, -1) @ xx
+    return blocks.reshape(m, j, j, d, d).transpose(0, 1, 3, 2, 4).reshape(m, j * d, j * d)
+
+
+def _reference_count_quantities(theta, xt, onehot, counts):
+    """`_count_quantities` as first written: separate logits, shifted
+    exponentials and score residual."""
+    m = theta.shape[0]
+    n, d = xt.shape
+    j = onehot.shape[0]
+    logits = np.zeros((m, j + 1, n))
+    logits[:, 1:] = theta.reshape(m, j, d) @ xt.T
+    top = logits.max(axis=1)
+    probs = np.exp(logits - top[:, None])
+    total = probs.sum(axis=1)
+    probs /= total[:, None]
+    lse = top + np.log(total)
+    loglik = np.sum(counts * ((onehot * logits[:, 1:]).sum(axis=1) - lse), axis=1)
+    ce = counts[:, None] * probs[:, 1:]
+    score = ((counts[:, None] * onehot - ce) @ xt).reshape(m, j * d)
+    return loglik, score, _reference_information(ce, probs[:, 1:], xt), probs
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("m, n", [(1, 1), (37, 9), (1, 300), (37, 300), (1, 40_000), (37, 40_000)])
+def test_count_quantities_keep_every_bit(m, n, j):
+    # the in-place evaluation and the reused chunk arrays against the
+    # formulas they replace, over 1 to 3 chunks and p = 0..6 covariates
+    assert 2 * propensity._CHUNK < 40_000 <= 3 * propensity._CHUNK
+    rng = np.random.default_rng(100 * m + 10 * j + n)
+    for p in range(7):
+        xt = propensity._design(rng.normal(size=(n, p)))
+        onehot = propensity._indicators(rng.integers(0, j + 1, n), j).T
+        counts = rng.poisson(1.0, size=(m, n)).astype(np.float64)
+        theta = rng.normal(scale=0.7, size=(m, j * (p + 1)))
+        got = propensity._count_quantities(theta, xt, onehot, counts)
+        want = _reference_count_quantities(theta, xt, onehot, counts)
+        for name, a, b in zip(("loglik", "score", "info", "probs"), got, want):
+            np.testing.assert_array_equal(a, b, err_msg=f"{name}, p={p}")
+        # the sandwich's a_gg reads transposed probabilities
+        probs = want[3][0].T
+        np.testing.assert_array_equal(
+            multinomial_information(probs, xt),
+            _reference_information(probs[:, 1:].T[None], probs[:, 1:].T[None], xt)[0],
+        )
+
+
+def test_fit_peak_memory_per_unit():
+    # one fit on 2e5 units of the cohort-cli benchmark's layout (four
+    # factorial cells, three correlated normal and three binary
+    # covariates); holding every (1, J, n) temporary of an evaluation at
+    # once peaked at 343 bytes per unit
+    n = 200_000
+    rng = np.random.default_rng(3)
+    chol = np.linalg.cholesky(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
+    x = np.hstack([rng.standard_normal((n, 3)) @ chol.T, rng.integers(0, 2, (n, 3)) - 0.5])
+    ub = x @ np.array([0.6, -0.4, 0.3, 0.2, -0.1, 0.15])
+    uc = x @ np.array([0.4, 0.2, -0.3, 0.1, 0.1, -0.2])
+    probs = np.exp(np.column_stack([np.zeros(n), ub, -ub, uc]))
+    probs /= probs.sum(axis=1, keepdims=True)
+    cell = (rng.random(n)[:, None] > probs.cumsum(axis=1)).sum(axis=1)
+    co = validate_cohort(
+        rng.exponential(1.0, n) + 1e-3, (rng.random(n) < 0.75).astype(int), cell, x
+    )
+    tracemalloc.start()
+    try:
+        fit = fit_multinomial_logit(co)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.score_norm <= 1e-8
+    assert peak / n <= 320, peak / n
 
 
 def test_ridge_warning_on_collinear_covariates():
