@@ -14,6 +14,8 @@ Breslow handling of ties.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -427,6 +429,24 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target, start):
     return tau, stage, ridged
 
 
+# (cohort, gamma) while a `_full_sample_fit` block runs
+_FULL_SAMPLE_FIT = contextvars.ContextVar("full_sample_fit", default=None)
+
+
+@contextlib.contextmanager
+def _full_sample_fit(cohort: Cohort, psfit: PropensityFit):
+    """Within the block, `bootstrap_covariance` on this very cohort starts
+    its resamples at `psfit.gamma` instead of fitting the full sample
+    again.  `psfit` must be `fit_multinomial_logit(cohort)`: that fit is
+    the same `_fit_counts` call as the one it replaces, so every draw keeps
+    its bits."""
+    token = _FULL_SAMPLE_FIT.set((cohort, psfit.gamma))
+    try:
+        yield
+    finally:
+        _FULL_SAMPLE_FIT.reset(token)
+
+
 def bootstrap_covariance(
     cohort: Cohort,
     scheme: str,
@@ -444,9 +464,10 @@ def bootstrap_covariance(
     replicates are fitted in one batched Newton pass per stage; each draw
     equals the fit on its materialised resample to solver precision.
     The full sample is the resample whose counts are all 1: it is fitted
-    once, and every resample's propensity Newton starts at its gamma (at
-    0 when that fit fails; its ridge fallback issues no warning).  The
-    tau Newton starts at 0.
+    once (or taken from an enclosing `_full_sample_fit` block), and every
+    resample's propensity Newton starts at its gamma (at 0 when that fit
+    fails; its ridge fallback issues no warning).  The tau Newton starts
+    at 0.
     An unknown scheme or att target raises ValidationError before any
     resample is drawn.
     Replicates where a treatment group disappears, a group loses all its
@@ -468,9 +489,13 @@ def bootstrap_covariance(
     per_pass = max(1, _BATCH_UNITS // n)
     warm = None
     if scheme != "unit":
-        _, gamma, _, _, _, _, errors, _ = _fit_counts(cohort, np.ones((1, n)))
-        if errors[0] is None:
-            warm = gamma[0]
+        held = _FULL_SAMPLE_FIT.get()
+        if held is not None and held[0] is cohort:
+            warm = held[1]
+        else:
+            _, gamma, _, _, _, _, errors, _ = _fit_counts(cohort, np.ones((1, n)))
+            if errors[0] is None:
+                warm = gamma[0]
     taus, stages, ridged = [], [], False
     for start in range(0, n_boot, per_pass):
         counts = np.array(

@@ -33,10 +33,14 @@ from .data_model import (
     _readonly,
     factorial_treatment_labels,
 )
-from .marginal_cox import bootstrap_covariance, fit_mhr, sandwich_covariance
+from .marginal_cox import (
+    _full_sample_fit,
+    bootstrap_covariance,
+    fit_mhr,
+    sandwich_covariance,
+)
 from .propensity import (
     _CHUNK,
-    _softmax,
     _tilt,
     compute_weights,
     fit_multinomial_logit,
@@ -153,29 +157,85 @@ def gen_covariates(n: int, rng) -> np.ndarray:
     cov = np.full((3, 3), _NORMAL_EQUICORR)
     np.fill_diagonal(cov, 1.0)
     chol = np.linalg.cholesky(cov)
-    x_norm = rng.standard_normal((n, 3)) @ chol.T
-    x_bin = rng.integers(0, 2, size=(n, 3)).astype(np.float64) - 0.5
-    return np.hstack([x_norm, x_bin])
+    x = np.empty((n, 6))
+    x[:, :3] = rng.standard_normal((n, 3)) @ chol.T
+    np.subtract(rng.integers(0, 2, size=(n, 3)), 0.5, out=x[:, 3:])
+    return x
+
+
+def _assignment_probs(offsets: np.ndarray, scaled: np.ndarray, out=None) -> np.ndarray:
+    """Probabilities of the logits (0, offsets + scaled[:, i]) with the
+    groups on the leading axis, (groups, n) for `scaled` (groups - 1, n);
+    written into `out` when it is given.
+
+    Bit for bit the transpose of `propensity._softmax(offsets + z)` with
+    z the C-contiguous (n, groups - 1) copy of scaled.T: m = max(0, l_1,
+    ..., l_K) elementwise (a max is exact in any order), e_0 = exp(-m),
+    e_k = exp(l_k - m), d = ((e_0 + e_1) + e_2) + ... and p = e / d, as
+    `_softmax` does, because numpy adds a row of at most 7 entries in
+    order.  Besides `out` it holds one (n,) array, where `_softmax` holds
+    several (n, groups) ones.
+    """
+    k, n = scaled.shape
+    e = np.empty((k + 1, n)) if out is None else out
+    logits = e[1:]
+    np.add(offsets[:, None], scaled, out=logits)
+    m = np.maximum(logits[0], 0.0)
+    for row in logits[1:]:
+        np.maximum(m, row, out=m)
+    np.negative(m, out=e[0])
+    logits -= m
+    np.exp(e, out=e)
+    d = np.add(e[0], e[1], out=m)
+    for row in e[2:]:
+        d += row
+    e /= d
+    return e
 
 
 def true_propensities(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:
     """Assignment probabilities of the data-generating process, (n, groups)."""
     design = _design(setting)
-    # C order: numpy reduces over the probabilities (group shares, the OW
-    # tilt) in the order of their memory layout, so the layout fixes bits
-    return _softmax(np.add(design.offsets(alpha), design.scaled_loadings(x, psi).T,
-                           order="C"))
+    # C order: numpy reduces over the probabilities (the OW tilt) in the
+    # order of their memory layout, so the layout fixes bits; this is the
+    # layout `_softmax` returns
+    probs = _assignment_probs(design.offsets(alpha), design.scaled_loadings(x, psi))
+    return np.ascontiguousarray(probs.T)
 
 
 def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.ndarray:
     """Draw groups from the true propensities: logits (0, a + psi b'x,
     a - psi b'x) for multi3, (0, a0 + psi b'x, a1 - psi b'x, a2 + psi c'x)
-    for factorial, whose groups follow the (z1, z2) cell coding 0..3."""
+    for factorial, whose groups follow the (z1, z2) cell coding 0..3.
+
+    A unit's group is the number of k with u > cdf_k, cdf_k = p_0 + ... +
+    p_k summed in order, for one uniform u per unit.  The probabilities
+    keep the groups on the leading axis and become the cumulative sums in
+    place, so the cdf rows are bit for bit those of
+    `np.cumsum(true_propensities(...), axis=1)`.
+    """
     _check_psi(psi)
     rng = np.random.default_rng(rng)
-    cdf = np.cumsum(true_propensities(setting, x, psi, alpha), axis=1)
+    design = _design(setting)
+    cdf = _assignment_probs(design.offsets(alpha), design.scaled_loadings(x, psi))
+    np.cumsum(cdf, axis=0, out=cdf)
     u = rng.random(x.shape[0])
-    return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
+    z = np.zeros(x.shape[0], dtype=np.int64)
+    for row in cdf:
+        z += u > row
+    return z
+
+
+def _weibull_times(t: np.ndarray, rate: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """scale * (-log t / exp(rate))^(1/shape), in place on the uniforms `t`
+    and on `rate`."""
+    np.log(t, out=t)
+    np.negative(t, out=t)
+    np.exp(rate, out=rate)
+    t /= rate
+    t **= 1.0 / shape
+    t *= scale
+    return t
 
 
 def gen_outcomes(
@@ -198,24 +258,25 @@ def gen_outcomes(
     t = rng.random((x.shape[0], theta_full.size))
     # in place on the draw, with one (n, arms) temporary: the operations
     # and their order are the formula's, so the bits are too
-    np.log(t, out=t)
-    np.negative(t, out=t)
-    rate = np.add(theta_full[None, :], lp[:, None])
-    np.exp(rate, out=rate)
-    t /= rate
-    t **= 1.0 / shape
-    t *= scale
-    return t
+    return _weibull_times(t, np.add(theta_full[None, :], lp[:, None]), shape, scale)
 
 
 def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
     """Covariates, assignment and assigned potential time, drawn in that
     order from `rng`: the shared start of a replicate and of the censoring
-    calibration sample."""
+    calibration sample.
+
+    The times are bit for bit `gen_outcomes(x, theta, rng=rng)[arange(n),
+    z]`: the same (n, arms) block of uniforms is drawn, and only the
+    assigned arm's go through the same elementwise steps, so no (n, arms)
+    array of times or rates is formed.
+    """
     x = gen_covariates(n, rng)
     z = gen_treatment(setting, x, psi, alpha, rng)
-    t_all = gen_outcomes(x, _design(setting).theta, rng=rng)
-    return x, z, t_all[np.arange(n), z]
+    theta_full = np.concatenate([[0.0], _design(setting).theta])
+    lp = x @ BETA_OUTCOME
+    t = rng.random((n, theta_full.size))[np.arange(n), z]
+    return x, z, _weibull_times(t, theta_full[z] + lp, WEIBULL_SHAPE, WEIBULL_SCALE)
 
 
 def make_replicate(
@@ -246,35 +307,18 @@ def _group_shares(offsets: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     """Mean over the units of the probabilities of the logits
     (0, offsets + scaled[:, i]), shape (groups,); `scaled` is (groups - 1, n).
 
-    Bit for bit `_softmax(offsets + z).mean(axis=0)` with z the C-contiguous
-    (n, groups - 1) copy of scaled.T, that is `true_propensities(...)
-    .mean(axis=0)`, in blocks of `_CHUNK` units with the groups on the
-    leading axis.  Per block: m = max(0, l_1, ..., l_K) elementwise (a max
-    is exact in any order), e_0 = exp(-m), e_k = exp(l_k - m), d = ((e_0 +
-    e_1) + e_2) + ... and p = e / d, as `_softmax` does, because numpy adds
-    a row of at most 7 entries in order.  `mean(axis=0)` of a C-contiguous
-    array adds the rows in order, so the block's running total goes into
-    its first unit and an in-place cumulative sum along the units carries
-    it to the last.
+    Bit for bit `true_propensities(...).mean(axis=0)`: `_assignment_probs`
+    on blocks of `_CHUNK` units, in one reused buffer.  `mean(axis=0)` of a
+    C-contiguous array adds the rows in order, so the block's running total
+    goes into its first unit and an in-place cumulative sum along the units
+    carries it to the last.
     """
     k, n = scaled.shape
     buf = np.empty((k + 1, _CHUNK))
     total = np.zeros(k + 1)
     for start in range(0, n, _CHUNK):
         s = scaled[:, start:start + _CHUNK]
-        e = buf[:, :s.shape[1]]
-        logits = e[1:]
-        np.add(offsets[:, None], s, out=logits)
-        m = np.maximum(logits[0], 0.0)
-        for row in logits[1:]:
-            np.maximum(m, row, out=m)
-        np.negative(m, out=e[0])
-        logits -= m
-        np.exp(e, out=e)
-        d = e[0] + e[1]
-        for row in e[2:]:
-            d += row
-        e /= d
+        e = _assignment_probs(offsets, s, out=buf[:, :s.shape[1]])
         e[:, 0] += total
         np.cumsum(e, axis=1, out=e)
         total = e[:, -1].copy()
@@ -606,7 +650,8 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
 
     Returns (tau dict, se dict, se_boot dict) or raises on failure; seeds
     derive from (master_seed, replicate index, purpose) so results do not
-    depend on execution order.
+    depend on execution order.  Both bootstraps start their resamples at
+    the replicate's own propensity fit instead of fitting it again.
     """
     cohort = make_replicate(
         setting, psi, alpha, lambda_c, n,
@@ -622,9 +667,10 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
         w = compute_weights(ps, cohort.treatment, scheme)
         est = fit_mhr(cohort, w)
         sand = sandwich_covariance(cohort, ps, w, est.tau)
-        boot = bootstrap_covariance(
-            cohort, scheme, bootstrap_b, (master_seed, r, 1 + k)
-        )
+        with _full_sample_fit(cohort, ps):
+            boot = bootstrap_covariance(
+                cohort, scheme, bootstrap_b, (master_seed, r, 1 + k)
+            )
         tau[scheme] = est.tau
         se[scheme] = np.sqrt(np.diag(sand.cov_tau))
         se_boot[scheme] = np.sqrt(np.diag(boot.cov_tau))

@@ -36,7 +36,7 @@ from wcox import marginal_cox, propensity
 from wcox._engine import _risk_tables, fit_cox
 from wcox.data_model import _indicators
 from wcox.propensity import _CHUNK, _weigh
-from wcox.simulation import make_replicate
+from wcox.simulation import _replicate_estimates, make_replicate
 from wcox.weighted_km import weighted_km
 
 
@@ -775,6 +775,13 @@ def _steep_propensity_cohort():
     return validate_cohort(rng.exponential(1.0, n), np.ones(n, dtype=int), z, x[:, None])
 
 
+# the calibrated intercepts of the benchmark's study cell (factorial, psi = 2)
+_BENCH_ALPHA = [
+    float.fromhex(h)
+    for h in ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")
+]
+
+
 def _newton_starts(monkeypatch):
     """Record the start of every propensity Newton run."""
     starts = []
@@ -950,6 +957,34 @@ class TestBootstrap:
         assert boot.drop_reasons == reasons
         assert 0 < reasons["propensity"] < 30
         np.testing.assert_allclose(boot.draws, draws, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("scheme", ["ipw", "ow"])
+    def test_handed_full_sample_fit_keeps_every_draw(self, monkeypatch, scheme):
+        # the fit handed in is the one-row `_fit_counts` call the bootstrap
+        # would make itself, so skipping it changes no bit
+        co = make_replicate(
+            "factorial", 2.0, _BENCH_ALPHA, 0.25, 1000,
+            np.random.default_rng(np.random.SeedSequence((1, 0, 0))),
+        )
+        plain = bootstrap_covariance(co, scheme, 20, (1, 0, 1))
+        ps = fit_multinomial_logit(co)
+        twin = dataclasses.replace(co)
+        starts = _newton_starts(monkeypatch)
+        with marginal_cox._full_sample_fit(co, ps):
+            handed = bootstrap_covariance(co, scheme, 20, (1, 0, 1))
+            # another cohort, even with the same data, fits its own
+            bootstrap_covariance(twin, scheme, 20, (1, 0, 1))
+        assert [s.shape[0] for s in starts] == [20, 1, 20]
+        np.testing.assert_array_equal(starts[0], np.tile(ps.gamma.ravel(), (20, 1)))
+        np.testing.assert_array_equal(handed.draws, plain.draws)
+        np.testing.assert_array_equal(handed.cov_tau, plain.cov_tau)
+        assert handed.drop_reasons == plain.drop_reasons
+
+    def test_study_replicate_fits_its_full_sample_once(self, monkeypatch):
+        starts = _newton_starts(monkeypatch)
+        _replicate_estimates("factorial", 2.0, _BENCH_ALPHA, 0.25, 400, 3, 1, 0)
+        # its own fit, then each scheme's batch of 3 resamples
+        assert [s.shape[0] for s in starts] == [1, 3, 3]
 
     @pytest.mark.parametrize(
         "cohort, scheme, target, stage",

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from wcox.simulation import (
     B_COEF,
     BETA_OUTCOME,
     C_COEF,
+    _assignment_probs,
+    _draw_assigned,
     _group_shares,
     _limit_blas_threads,
     _openblas_controls,
@@ -185,6 +188,94 @@ def test_group_shares_match_the_plain_expression_bit_for_bit(setting, n):
             offsets = design.offsets(rng.normal(0.0, sd, max(design.intercepts) + 1))
             plain = _softmax(offsets + np.ascontiguousarray(scaled.T)).mean(axis=0)
             assert np.array_equal(_group_shares(offsets, scaled), plain)
+
+
+def _assignment_cases(setting, n):
+    """(x, psi, alpha) draws whose logits span ordinary values and values
+    near +-700, where the row maximum decides whether exp overflows."""
+    design = _DESIGNS[setting]
+    rng = np.random.default_rng(n + 7)
+    x = gen_covariates(n, rng)
+    k = max(design.intercepts) + 1
+    for psi in (0.5, 2.0):
+        for alpha in (rng.normal(0.0, 0.3, k), rng.normal(0.0, 40.0, k),
+                      np.full(k, 700.0) - rng.random(k), -np.full(k, 700.0) + rng.random(k),
+                      np.where(rng.random(k) < 0.5, 700.0, -700.0)):
+            yield x, psi, alpha
+
+
+def _old_propensities(setting, x, psi, alpha):
+    # the formula true_propensities evaluated with the groups on the last axis
+    design = _DESIGNS[setting]
+    return _softmax(np.add(design.offsets(alpha), design.scaled_loadings(x, psi).T, order="C"))
+
+
+@pytest.mark.parametrize("setting", sorted(_DESIGNS))
+@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+def test_assignment_probs_keep_every_bit(setting, n):
+    design = _DESIGNS[setting]
+    for x, psi, alpha in _assignment_cases(setting, n):
+        old = _old_propensities(setting, x, psi, alpha)
+        probs = _assignment_probs(design.offsets(alpha), design.scaled_loadings(x, psi))
+        assert probs.shape == (len(design.labels), n)
+        np.testing.assert_array_equal(probs, old.T)
+        new = true_propensities(setting, x, psi, alpha)
+        assert new.flags.c_contiguous
+        np.testing.assert_array_equal(new, old)
+
+
+@pytest.mark.parametrize("setting", sorted(_DESIGNS))
+@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+def test_gen_treatment_keeps_every_draw(setting, n):
+    for x, psi, alpha in _assignment_cases(setting, n):
+        p = _old_propensities(setting, x, psi, alpha)
+        u = np.random.default_rng(n).random(n)
+        old = (u[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+        z = gen_treatment(setting, x, psi, alpha, np.random.default_rng(n))
+        assert z.dtype == np.int64
+        np.testing.assert_array_equal(z, old)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+def test_gen_covariates_is_the_stacked_draw(n):
+    x = gen_covariates(n, np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    chol = np.linalg.cholesky(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
+    x_norm = rng.standard_normal((n, 3)) @ chol.T
+    x_bin = rng.integers(0, 2, size=(n, 3)).astype(np.float64) - 0.5
+    assert x.flags.c_contiguous
+    np.testing.assert_array_equal(x, np.hstack([x_norm, x_bin]))
+
+
+@pytest.mark.parametrize("setting, alpha", [("multi3", -0.24), ("factorial", (-0.6, -0.8, -0.4))])
+@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+def test_draw_assigned_is_the_chained_draw(setting, alpha, n):
+    rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
+    x, z, t = _draw_assigned(setting, 2.0, alpha, n, rng_new)
+    x_old = gen_covariates(n, rng_old)
+    z_old = gen_treatment(setting, x_old, 2.0, alpha, rng_old)
+    t_all = gen_outcomes(x_old, _DESIGNS[setting].theta, rng=rng_old)
+    np.testing.assert_array_equal(x, x_old)
+    np.testing.assert_array_equal(z, z_old)
+    np.testing.assert_array_equal(t, t_all[np.arange(n), z_old])
+    # the generator is left where the chained draw leaves it
+    np.testing.assert_array_equal(rng_new.random(8), rng_old.random(8))
+
+
+def test_censoring_calibration_peak_memory_per_row():
+    # the calibration sample sets the peak memory of a study process; the
+    # draws keep the groups on the leading axis and transform the assigned
+    # arm's uniforms only (176 bytes per row when every arm was transformed)
+    alpha = [float.fromhex(h) for h in
+             ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")]
+    tracemalloc.start()
+    try:
+        lam = calibrate_censoring("factorial", 2.0, alpha, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lam == 0.25
+    assert peak / wcox.simulation._CAL_N_MC <= 130, peak / wcox.simulation._CAL_N_MC
 
 
 class TestCalibration:
