@@ -32,6 +32,12 @@ class StudyError(RuntimeError):
     """A resampling procedure or simulation study had to abort."""
 
 
+def _check_fraction(name: str, value) -> None:
+    """Reject a failure fraction that is NaN or outside [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -71,6 +77,10 @@ class Cohort:
         Display labels; position k names group k.
 
     Arrays are read-only; derived objects hold views, never mutated copies.
+    What depends only on the cohort (its time order, its arm one-hot and
+    its full-sample propensity fit) is computed once, on first use, and
+    kept for the cohort's lifetime; `subset` and `dataclasses.replace`
+    make a new cohort, which computes its own.
     """
 
     time: np.ndarray
@@ -102,6 +112,13 @@ class Cohort:
     def _arm_onehot(self) -> np.ndarray:
         """(n, J+1) one-hot of `treatment`, computed once per cohort."""
         return _one_hot(self.treatment, len(self.treatment_labels))
+
+    @cached_property
+    def _propensity(self):
+        """`propensity._fit_full_sample` of the cohort, computed once per cohort."""
+        from .propensity import _fit_full_sample
+
+        return _fit_full_sample(self)
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.treatment, minlength=len(self.treatment_labels))

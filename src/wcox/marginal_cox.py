@@ -14,8 +14,6 @@ Breslow handling of ties.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -27,12 +25,14 @@ from .data_model import (
     ConvergenceError,
     StudyError,
     ValidationError,
+    _check_fraction,
     _indicators,
 )
 from .propensity import (
     _CHUNK,
     PropensityFit,
     WeightSet,
+    _check_fit_rows,
     _check_scheme,
     _count_weights,
     _fit_counts,
@@ -283,7 +283,8 @@ def stacked_pieces(
     each divided by n.  a_tg = -(1/n) psi_c' (d log w / d gamma), because
     the tau-score moves with each weight as dU/dw_l = psi_c_l / w_l.
     a_gt is exactly zero.  With psfit=None the weights are treated as
-    known and the gamma blocks are empty.
+    known and the gamma blocks are empty.  A psfit whose rows are not the
+    cohort's units raises ValidationError.
 
     psi, psi_c and a_tt come from the event and at-risk tables (F, R) at
     the event times t: with dL(t) = F.(t) / S0(t) the Breslow hazard
@@ -291,6 +292,7 @@ def stacked_pieces(
     where C0 and C1 sum dL and dL Dbar over t <= Y_i, and
     n a_tt = sum_t F.(t) (diag Dbar(t) - Dbar(t) Dbar(t)').
     """
+    _check_fit_rows(cohort, psfit)
     psi, psi_c, a_tt = _tau_pieces(cohort, weights, tau)
     n = cohort.n
     j = cohort.n_treatments
@@ -360,8 +362,10 @@ def sandwich_covariance(
     With psfit=None, or UNIT weights (a_tg = 0), U = psi_c and cov_tau is
     the fixed-weight robust variance.  After a trim without refit, psfit
     holds the full-sample gamma with its rows cut to the kept units, and
-    gamma is treated as if it had been fitted on them.
+    gamma is treated as if it had been fitted on them.  A psfit whose rows
+    are not the cohort's units raises ValidationError.
     """
+    _check_fit_rows(cohort, psfit)
     n = cohort.n
     _, psi_c, a_tt = _tau_pieces(cohort, weights, tau)
     cov_fixed = _sandwich(a_tt, psi_c.T @ psi_c / n, n)
@@ -429,24 +433,6 @@ def _fit_resamples(cohort: Cohort, counts, scheme: str, att_target, start):
     return tau, stage, ridged
 
 
-# (cohort, gamma) while a `_full_sample_fit` block runs
-_FULL_SAMPLE_FIT = contextvars.ContextVar("full_sample_fit", default=None)
-
-
-@contextlib.contextmanager
-def _full_sample_fit(cohort: Cohort, psfit: PropensityFit):
-    """Within the block, `bootstrap_covariance` on this very cohort starts
-    its resamples at `psfit.gamma` instead of fitting the full sample
-    again.  `psfit` must be `fit_multinomial_logit(cohort)`: that fit is
-    the same `_fit_counts` call as the one it replaces, so every draw keeps
-    its bits."""
-    token = _FULL_SAMPLE_FIT.set((cohort, psfit.gamma))
-    try:
-        yield
-    finally:
-        _FULL_SAMPLE_FIT.reset(token)
-
-
 def bootstrap_covariance(
     cohort: Cohort,
     scheme: str,
@@ -463,19 +449,21 @@ def bootstrap_covariance(
     each unit, used as frequency weights on the original rows, and all
     replicates are fitted in one batched Newton pass per stage; each draw
     equals the fit on its materialised resample to solver precision.
-    The full sample is the resample whose counts are all 1: it is fitted
-    once (or taken from an enclosing `_full_sample_fit` block), and every
-    resample's propensity Newton starts at its gamma (at 0 when that fit
-    fails; its ridge fallback issues no warning).  The tau Newton starts
-    at 0.
+    The full sample is the resample whose counts are all 1: every
+    resample's propensity Newton starts at its gamma, the cohort's own fit
+    (`fit_multinomial_logit`), made here when no earlier call made it.
+    When that fit failed the resamples start at 0, and its ridge fallback
+    issues no warning here.  The tau Newton starts at 0.
     An unknown scheme or att target raises ValidationError before any
     resample is drawn.
     Replicates where a treatment group disappears, a group loses all its
     events, or either fit fails are dropped and counted by the stage that
     stopped them: "missing_group", "propensity" (the weighting stage) or
     "cox" (the tau fit).  More than `max_drop_fraction` dropped raises
-    StudyError ("bootstrap unstable").  When any replicate's propensity
-    fit needed the ridge fallback, one warning is issued.
+    StudyError ("bootstrap unstable"); a fraction that is NaN or outside
+    [0, 1] raises ValidationError before any resample is drawn.  When any
+    replicate's propensity fit needed the ridge fallback, one warning is
+    issued.
     The covariance is the empirical covariance (ddof=1) of the retained
     tau draws.  Fully deterministic given (cohort, scheme, n_boot, seed).
     """
@@ -483,19 +471,13 @@ def bootstrap_covariance(
         raise ValidationError("bootstrap needs at least 2 replicates")
     if seed is None:
         raise ValidationError("bootstrap requires a seed")
+    _check_fraction("max_drop_fraction", max_drop_fraction)
     n = cohort.n
     _check_scheme(scheme, att_target, cohort.n_treatments + 1)
     children = np.random.SeedSequence(seed).spawn(n_boot)
     per_pass = max(1, _BATCH_UNITS // n)
-    warm = None
-    if scheme != "unit":
-        held = _FULL_SAMPLE_FIT.get()
-        if held is not None and held[0] is cohort:
-            warm = held[1]
-        else:
-            _, gamma, _, _, _, _, errors, _ = _fit_counts(cohort, np.ones((1, n)))
-            if errors[0] is None:
-                warm = gamma[0]
+    fit = None if scheme == "unit" else cohort._propensity[0]
+    warm = None if fit is None else fit.gamma
     taus, stages, ridged = [], [], False
     for start in range(0, n_boot, per_pass):
         counts = np.array(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._engine import _damped_newton, _NewtonLimits
-from .data_model import Cohort, ValidationError, _indicators, _readonly
+from .data_model import Cohort, ConvergenceError, ValidationError, _indicators, _readonly
 
 __all__ = [
     "PropensityFit",
@@ -152,6 +152,11 @@ def fit_multinomial_logit(cohort: Cohort) -> PropensityFit:
     Fisher information is ill-conditioned (condition estimate beyond
     1e12) a ridge of 1e-8 is added to it and a warning is issued.
 
+    The fit is made once per cohort and kept on it: every call on the
+    same cohort returns the same PropensityFit, and warns or raises again
+    as the first call did.  A `Cohort.subset` or `dataclasses.replace`
+    copy is a new cohort and fits its own model.
+
     Raises
     ------
     ConvergenceError
@@ -160,22 +165,34 @@ def fit_multinomial_logit(cohort: Cohort) -> PropensityFit:
     """
     if cohort.n_treatments < 1:
         raise ValidationError("at least two treatment groups are required")
+    fit, ridged, error = cohort._propensity
+    if ridged:
+        _warn_ridge()
+    if error is not None:
+        # a fresh exception each call, so the kept one holds no traceback
+        raise ConvergenceError(*error.args)
+    return fit
+
+
+def _fit_full_sample(cohort: Cohort):
+    """(PropensityFit or None, ridged, ConvergenceError or None) of the
+    full sample, the `_fit_counts` call with every count 1; read it from
+    `Cohort._propensity`, which keeps it."""
     xt, gamma, probs, loglik, iterations, gnorm, errors, ridged = _fit_counts(
         cohort, np.ones((1, cohort.n))
     )
-    if ridged[0]:
-        _warn_ridge()
     if errors[0] is not None:
-        raise errors[0]
-    return PropensityFit(
+        return None, bool(ridged[0]), errors[0]
+    fit = PropensityFit(
         gamma=_readonly(gamma[0]),
         probs=_readonly(probs[0]),
-        design=xt,
+        design=_readonly(xt),
         loglik=float(loglik[0]),
         iterations=int(iterations[0]),
         score_norm=float(gnorm[0]),
         ridged=bool(ridged[0]),
     )
+    return fit, fit.ridged, None
 
 
 # design rows per product of the information blocks; bounds the (rows,
@@ -448,6 +465,13 @@ def _unit_weights(cohort: Cohort) -> WeightSet:
     return compute_weights(np.full((cohort.n, g), 1.0 / g), cohort.treatment, "unit")
 
 
+def _check_fit_rows(cohort: Cohort, fit: PropensityFit | None) -> None:
+    """Reject a propensity fit whose rows are not the cohort's units; None
+    (no propensity model) passes."""
+    if fit is not None and (fit.probs.shape[0], fit.design.shape[0]) != (cohort.n,) * 2:
+        raise ValidationError("the propensity fit must align with the cohort")
+
+
 @dataclass(frozen=True)
 class TrimResult:
     """Outcome of propensity trimming."""
@@ -471,13 +495,15 @@ def trim(cohort: Cohort, fit: PropensityFit, threshold: float, refit=True) -> Tr
     stacked sandwich included) treat gamma as if it had been fitted on
     the kept units; loglik, iterations and score_norm stay those of the
     fit on all units.  threshold must lie in [0, 1/(J+1)): at 1/(J+1) or
-    above even perfectly uniform propensities would be removed.
+    above even perfectly uniform propensities would be removed.  A fit
+    whose rows are not the cohort's units raises ValidationError.
     """
     g = cohort.n_treatments + 1
     if not (0.0 <= threshold < 1.0 / g):
         raise ValidationError(
             f"trim threshold must lie in [0, {1.0 / g:.4g}) for {g} groups"
         )
+    _check_fit_rows(cohort, fit)
     keep_mask = fit.probs.min(axis=1) >= threshold
     kept = np.flatnonzero(keep_mask)
     removed = np.flatnonzero(~keep_mask)

@@ -29,12 +29,12 @@ from .data_model import (
     ConvergenceError,
     StudyError,
     ValidationError,
+    _check_fraction,
     _indicators,
     _readonly,
     factorial_treatment_labels,
 )
 from .marginal_cox import (
-    _full_sample_fit,
     bootstrap_covariance,
     fit_mhr,
     sandwich_covariance,
@@ -667,10 +667,7 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
         w = compute_weights(ps, cohort.treatment, scheme)
         est = fit_mhr(cohort, w)
         sand = sandwich_covariance(cohort, ps, w, est.tau)
-        with _full_sample_fit(cohort, ps):
-            boot = bootstrap_covariance(
-                cohort, scheme, bootstrap_b, (master_seed, r, 1 + k)
-            )
+        boot = bootstrap_covariance(cohort, scheme, bootstrap_b, (master_seed, r, 1 + k))
         tau[scheme] = est.tau
         se[scheme] = np.sqrt(np.diag(sand.cov_tau))
         se_boot[scheme] = np.sqrt(np.diag(boot.cov_tau))
@@ -812,7 +809,8 @@ def run_study(
     computed on demand unless supplied (keys 'ipw' and 'ow').
 
     Failed replicates are dropped and counted; more than
-    `max_failure_fraction` of them aborts the study with StudyError.
+    `max_failure_fraction` of them aborts the study with StudyError; a
+    fraction that is NaN or outside [0, 1] raises ValidationError first.
     Replicates may run in parallel (WCOX_THREADS caps the workers), each
     on one BLAS thread, so their results depend neither on the worker
     count and execution order nor on the host's BLAS thread count.
@@ -821,6 +819,7 @@ def run_study(
     or with the wrong number of components, raises ValidationError before
     any calibration.
     """
+    _check_fraction("max_failure_fraction", max_failure_fraction)
     estimands = dict(estimands or {})
     labels = _design(config.setting).labels
     j = len(labels) - 1

@@ -899,6 +899,17 @@ class TestBootstrap:
         with pytest.raises(ValidationError, match=message):
             bootstrap_covariance(boot_cohort, scheme, 50, 0, att_target=target)
 
+    @pytest.mark.parametrize("fraction", [-0.1, float("nan"), 1.5])
+    def test_bad_drop_fraction_is_rejected_before_resampling(
+        self, boot_cohort, monkeypatch, fraction
+    ):
+        def resample(seed=None):
+            raise AssertionError("resampled before the fraction was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", resample)
+        with pytest.raises(ValidationError, match=r"max_drop_fraction must lie in \[0, 1\]"):
+            bootstrap_covariance(boot_cohort, "ipw", 10, 0, max_drop_fraction=fraction)
+
     def test_unstable_bootstrap_raises(self):
         with pytest.raises(StudyError, match="bootstrap unstable"):
             bootstrap_covariance(
@@ -947,9 +958,9 @@ class TestBootstrap:
 
     def test_failed_full_sample_fit_starts_the_resamples_at_zero(self, monkeypatch):
         co = _steep_propensity_cohort()
+        starts = _newton_starts(monkeypatch)
         with pytest.raises(ConvergenceError, match="beyond"):
             fit_multinomial_logit(co)
-        starts = _newton_starts(monkeypatch)
         boot = bootstrap_covariance(co, "ipw", 30, 5, max_drop_fraction=0.95)
         assert [s.shape[0] for s in starts] == [1, 30]
         assert not starts[1].any()
@@ -959,26 +970,28 @@ class TestBootstrap:
         np.testing.assert_allclose(boot.draws, draws, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("scheme", ["ipw", "ow"])
-    def test_handed_full_sample_fit_keeps_every_draw(self, monkeypatch, scheme):
-        # the fit handed in is the one-row `_fit_counts` call the bootstrap
-        # would make itself, so skipping it changes no bit
+    def test_stored_full_sample_fit_keeps_every_draw(self, monkeypatch, scheme):
+        # the stored fit is the one-row `_fit_counts` call the bootstrap
+        # would make itself, so reading it changes no bit
         co = make_replicate(
             "factorial", 2.0, _BENCH_ALPHA, 0.25, 1000,
             np.random.default_rng(np.random.SeedSequence((1, 0, 0))),
         )
-        plain = bootstrap_covariance(co, scheme, 20, (1, 0, 1))
         ps = fit_multinomial_logit(co)
+        # another cohort, even with the same data, fits its own
         twin = dataclasses.replace(co)
         starts = _newton_starts(monkeypatch)
-        with marginal_cox._full_sample_fit(co, ps):
-            handed = bootstrap_covariance(co, scheme, 20, (1, 0, 1))
-            # another cohort, even with the same data, fits its own
-            bootstrap_covariance(twin, scheme, 20, (1, 0, 1))
-        assert [s.shape[0] for s in starts] == [20, 1, 20]
+        stored = bootstrap_covariance(co, scheme, 20, (1, 0, 1))
+        assert [s.shape[0] for s in starts] == [20]
         np.testing.assert_array_equal(starts[0], np.tile(ps.gamma.ravel(), (20, 1)))
-        np.testing.assert_array_equal(handed.draws, plain.draws)
-        np.testing.assert_array_equal(handed.cov_tau, plain.cov_tau)
-        assert handed.drop_reasons == plain.drop_reasons
+        del starts[:]
+        fresh = bootstrap_covariance(twin, scheme, 20, (1, 0, 1))
+        assert [s.shape[0] for s in starts] == [1, 20]
+        assert not starts[0].any()
+        np.testing.assert_array_equal(starts[1], np.tile(ps.gamma.ravel(), (20, 1)))
+        np.testing.assert_array_equal(stored.draws, fresh.draws)
+        np.testing.assert_array_equal(stored.cov_tau, fresh.cov_tau)
+        assert stored.drop_reasons == fresh.drop_reasons
 
     def test_study_replicate_fits_its_full_sample_once(self, monkeypatch):
         starts = _newton_starts(monkeypatch)
@@ -1029,6 +1042,126 @@ class TestBootstrap:
         # solver precision, as in
         # test_each_bootstrap_draw_is_the_pipeline_on_its_resample
         np.testing.assert_allclose(boot.draws, draws, rtol=0, atol=1e-8)
+
+
+def _fit_counts_calls(monkeypatch):
+    """Record (rows, start) of every `_fit_counts` call, whether made by
+    the propensity stage or by the bootstrap's resamples."""
+    calls = []
+    fit_counts = propensity._fit_counts
+
+    def spy(cohort, counts, start=None):
+        calls.append((len(counts), start))
+        return fit_counts(cohort, counts, start)
+
+    monkeypatch.setattr(propensity, "_fit_counts", spy)
+    monkeypatch.setattr(marginal_cox, "_fit_counts", spy)
+    return calls
+
+
+class TestFullSampleFit:
+    """Each cohort fits its full-sample propensity model once and keeps it."""
+
+    def test_every_call_returns_the_same_fit(self, monkeypatch):
+        co = random_survival_cohort(np.random.default_rng(40), n=90, j=2, p=3)
+        calls = _fit_counts_calls(monkeypatch)
+        first = fit_multinomial_logit(co)
+        assert fit_multinomial_logit(co) is first
+        assert [rows for rows, _ in calls] == [1]
+        assert not first.design.flags.writeable
+
+    def test_every_call_warns_on_a_ridged_cohort(self):
+        co = random_survival_cohort(np.random.default_rng(32), n=200, j=2, p=2)
+        x1, x3 = co.covariates.T
+        aliased = validate_cohort(
+            co.time, co.event, co.treatment, np.column_stack([x1, 2.0 * x1, x3])
+        )
+        fits = []
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="ill-conditioned"):
+                fits.append(fit_multinomial_logit(aliased))
+        assert fits[0].ridged
+        assert fits[1] is fits[0] and fits[2] is fits[0]
+
+    def test_every_call_raises_on_a_failed_fit(self, monkeypatch):
+        co = _steep_propensity_cohort()
+        starts = _newton_starts(monkeypatch)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ConvergenceError, match="beyond") as caught:
+                fit_multinomial_logit(co)
+            messages.append(str(caught.value))
+        assert messages[1] == messages[0] and messages[2] == messages[0]
+        assert [s.shape[0] for s in starts] == [1]
+
+    def test_subset_and_replace_fit_their_own(self, monkeypatch):
+        co = random_survival_cohort(np.random.default_rng(40), n=90, j=2, p=3)
+        fit = fit_multinomial_logit(co)
+        calls = _fit_counts_calls(monkeypatch)
+        same_rows = co.subset(np.arange(co.n))
+        twin = dataclasses.replace(co)
+        head = co.subset(np.arange(60))
+        for other in (same_rows, twin):
+            refit = fit_multinomial_logit(other)
+            assert refit is not fit
+            np.testing.assert_array_equal(refit.gamma, fit.gamma)
+            np.testing.assert_array_equal(refit.probs, fit.probs)
+        assert fit_multinomial_logit(head).probs.shape == (60, 3)
+        assert fit_multinomial_logit(co) is fit
+        assert [rows for rows, _ in calls] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "trim_threshold, refit_trim, sizes",
+        [(None, True, [1, 20]), (0.05, True, [1, 1, 20]), (0.05, False, [1, 1, 20])],
+        ids=["no-trim", "trim-refit", "trim-no-refit"],
+    )
+    def test_weighted_bootstrap_fits_each_full_sample_once(
+        self, monkeypatch, trim_threshold, refit_trim, sizes
+    ):
+        # `wcox fit --variance bootstrap:B`: the bootstrap starts at the
+        # fit of the weighting stage; after a trim without refit that fit
+        # belongs to the untrimmed cohort, so the trimmed one fits its own
+        co = make_replicate(
+            "factorial", 2.0, _BENCH_ALPHA, 0.25, 1000,
+            np.random.default_rng(np.random.SeedSequence((1, 0, 0))),
+        )
+        calls = _fit_counts_calls(monkeypatch)
+        bundle = fit_weighted_mhr(
+            co, "ow", variance="bootstrap", n_boot=20, seed=3,
+            trim_threshold=trim_threshold, refit_trim=refit_trim,
+        )
+        assert [rows for rows, _ in calls] == sizes
+        warm = calls[-1][1]
+        boot_cohort = co
+        if trim_threshold is not None:
+            assert bundle.trim_result.removed.size > 0
+            boot_cohort = bundle.trim_result.cohort
+        own = fit_multinomial_logit(boot_cohort).gamma
+        np.testing.assert_array_equal(warm, own)
+        if not refit_trim:
+            assert not np.array_equal(own, bundle.psfit.gamma)
+        # a cohort without a stored fit makes the full-sample fit itself
+        plain = bootstrap_covariance(dataclasses.replace(boot_cohort), "ow", 20, 3)
+        np.testing.assert_array_equal(bundle.bootstrap.draws, plain.draws)
+        np.testing.assert_array_equal(bundle.bootstrap.cov_tau, plain.cov_tau)
+        assert bundle.bootstrap.drop_reasons == plain.drop_reasons
+
+
+@pytest.mark.parametrize(
+    "call", [stacked_pieces, sandwich_covariance], ids=["stacked_pieces", "sandwich_covariance"]
+)
+def test_fit_of_another_cohort_is_rejected(call):
+    co = random_survival_cohort(np.random.default_rng(22), n=400, j=2, p=3)
+    sub = co.subset(np.arange(300))
+    fits = {c.n: fit_multinomial_logit(c) for c in (co, sub)}
+    for cohort, other in ((sub, fits[400]), (co, fits[300])):
+        own = fits[cohort.n]
+        w = compute_weights(own, cohort.treatment, "ipw")
+        tau = fit_mhr(cohort, w).tau
+        call(cohort, own, w, tau)
+        for bad in (other, dataclasses.replace(own, design=other.design)):
+            with pytest.raises(ValidationError, match="propensity fit must align"):
+                call(cohort, bad, w, tau)
 
 
 @pytest.fixture(scope="module")

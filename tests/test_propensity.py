@@ -1,5 +1,6 @@
 """Multinomial propensity model, balancing weights, trimming, balance."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -264,6 +265,16 @@ def test_ridge_warning_names_the_caller(call):
     ridge = [w for w in caught if "ill-conditioned" in str(w.message)]
     assert len(ridge) == 1
     assert ridge[0].filename == __file__
+
+
+def test_trim_rejects_the_fit_of_another_cohort():
+    co = random_survival_cohort(np.random.default_rng(22), n=400, j=2, p=3)
+    sub = co.subset(np.arange(300))
+    fit, sub_fit = fit_multinomial_logit(co), fit_multinomial_logit(sub)
+    short_design = dataclasses.replace(fit, design=sub_fit.design)
+    for cohort, bad in ((sub, fit), (co, sub_fit), (co, short_design)):
+        with pytest.raises(ValidationError, match="propensity fit must align"):
+            trim(cohort, bad, 0.01)
 
 
 def test_separation_raises():

@@ -678,6 +678,17 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match=re.escape(message)):
             run_study(config, estimands)
 
+    @pytest.mark.parametrize("fraction", [-0.5, float("nan"), 1.5])
+    def test_bad_failure_fraction_is_refused_before_calibration(
+        self, monkeypatch, fraction
+    ):
+        def calibrate(*args):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(wcox.simulation, "_study_intercepts", calibrate)
+        with pytest.raises(ValidationError, match=r"max_failure_fraction must lie in \[0, 1\]"):
+            run_study(_FACTORIAL_CELL, _factorial_estimands(), max_failure_fraction=fraction)
+
     def test_tiny_cohorts_abort_the_study(self):
         config = ScenarioConfig(
             setting="multi3", psi=1.0, n=12, replicates=4, bootstrap_b=8, seed=3
