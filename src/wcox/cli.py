@@ -301,8 +301,12 @@ def _cmd_fit(args) -> int:
         raise ValidationError("--seed is required with bootstrap variance")
     if not (0.0 < args.level < 1.0):
         raise ValidationError("confidence level must lie in (0, 1)")
+    # the call gets the only reference to the loaded cohort, so a trim
+    # frees it and its propensity fit before the Cox and variance stages
+    held = [cohort]
+    del cohort
     bundle = fit_weighted_mhr(
-        cohort,
+        held.pop(),
         scheme,
         att_target=att_target,
         variance=variance,

@@ -26,7 +26,6 @@ from .data_model import (
     StudyError,
     ValidationError,
     _check_fraction,
-    _indicators,
 )
 from .propensity import (
     _CHUNK,
@@ -205,16 +204,16 @@ class StackedPieces:
     a_gg: np.ndarray
 
 
-def _score_rows(psfit: PropensityFit, treatment, rows) -> np.ndarray:
+def _score_rows(psfit: PropensityFit, cohort: Cohort, rows) -> np.ndarray:
     """pi of the units in `rows`: the propensity score residuals
     (D - e) x design, shape (units, J(p+1)) in gamma.ravel() order."""
     e = psfit.probs[rows, 1:]
-    resid = _indicators(treatment[rows], e.shape[1]) - e
+    resid = cohort._arm_onehot[rows, 1:] - e
     return (resid[:, :, None] * psfit.design[rows, None, :]).reshape(e.shape[0], -1)
 
 
 def _log_weight_gradient(
-    psfit: PropensityFit, weights: WeightSet, treatment, rows
+    psfit: PropensityFit, weights: WeightSet, cohort: Cohort, rows
 ) -> np.ndarray:
     """d log w_i / d gamma of the units in `rows`, shape (units, J(p+1))
     in gamma.ravel() order.
@@ -225,7 +224,7 @@ def _log_weight_gradient(
     """
     e = psfit.probs[rows, 1:]
     j = e.shape[1]
-    coef = e - _indicators(treatment[rows], j)
+    coef = e - cohort._arm_onehot[rows, 1:]
     if weights.scheme == "att":
         coef += (np.arange(1, j + 1) == weights.att_target) - e
     elif weights.scheme == "ow":
@@ -265,7 +264,7 @@ def _cross_block(cohort: Cohort, psfit: PropensityFit, weights: WeightSet, psi_c
     """a_tg = -(1/n) psi_c' (d log w / d gamma), summed chunk by chunk."""
 
     def term(rows):
-        return psi_c[rows].T @ _log_weight_gradient(psfit, weights, cohort.treatment, rows)
+        return psi_c[rows].T @ _log_weight_gradient(psfit, weights, cohort, rows)
 
     return -_chunk_sum(cohort.n, term) / cohort.n
 
@@ -308,7 +307,7 @@ def stacked_pieces(
     return StackedPieces(
         psi=psi,
         psi_c=psi_c,
-        pi=_score_rows(psfit, cohort.treatment, slice(None)),
+        pi=_score_rows(psfit, cohort, slice(None)),
         a_tt=a_tt,
         a_tg=_cross_block(cohort, psfit, weights, psi_c),
         a_gg=multinomial_information(psfit.probs, psfit.design) / n,
@@ -376,7 +375,7 @@ def sandwich_covariance(
     g = np.linalg.lstsq(a_gg, a_tg.T, rcond=None)[0]
 
     def meat(rows):
-        u = psi_c[rows] - _score_rows(psfit, cohort.treatment, rows) @ g
+        u = psi_c[rows] - _score_rows(psfit, cohort, rows) @ g
         return u.T @ u
 
     return SandwichResult(

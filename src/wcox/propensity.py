@@ -45,12 +45,18 @@ def _design(covariates: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(covariates.shape[0]), covariates])
 
 
-def _softmax(offsets: np.ndarray) -> np.ndarray:
-    """Probabilities of logits (0, offsets), row by row."""
-    logits = np.column_stack([np.zeros(offsets.shape[0]), offsets])
-    logits -= logits.max(axis=1, keepdims=True)
-    num = np.exp(logits)
-    return num / num.sum(axis=1, keepdims=True)
+def _softmax_groups(e: np.ndarray):
+    """Turn the logits `e`, (G, n) or (m, G, n) with the groups on axis -2
+    and the reference logits 0 in row 0, into their probabilities in place:
+    shifted by the maximum, exponentiated and divided by the sum over the
+    groups, added in order.  Returns (top, total), the shift and the sum,
+    so the log-sum-exp of the logits is log(total) + top."""
+    top = e.max(axis=-2)
+    e -= top[..., None, :]
+    np.exp(e, out=e)
+    total = e.sum(axis=-2)
+    e /= total[..., None, :]
+    return top, total
 
 
 def multinomial_probs(gamma: np.ndarray, covariates: np.ndarray) -> np.ndarray:
@@ -58,8 +64,11 @@ def multinomial_probs(gamma: np.ndarray, covariates: np.ndarray) -> np.ndarray:
 
     Column 0 is the reference group; rows sum to one.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    return _softmax(_design(covariates) @ gamma.T)
+    eta = _design(covariates) @ np.asarray(gamma, dtype=np.float64).T
+    e = np.zeros((eta.shape[1] + 1, eta.shape[0]))
+    e[1:] = eta.T
+    _softmax_groups(e)
+    return np.ascontiguousarray(e.T)
 
 
 @dataclass(frozen=True)
@@ -249,11 +258,7 @@ def _count_quantities(theta, xt, onehot, counts):
     probs = np.zeros((m, j + 1, n))
     np.matmul(theta.reshape(m, j, d), xt.T, out=probs[:, 1:])
     loglik = (onehot * probs[:, 1:]).sum(axis=1)
-    top = probs.max(axis=1)
-    probs -= top[:, None]
-    np.exp(probs, out=probs)
-    total = probs.sum(axis=1)
-    probs /= total[:, None]
+    top, total = _softmax_groups(probs)
     np.log(total, out=total)
     total += top
     loglik -= total

@@ -41,6 +41,7 @@ from .marginal_cox import (
 )
 from .propensity import (
     _CHUNK,
+    _softmax_groups,
     _tilt,
     compute_weights,
     fit_multinomial_logit,
@@ -106,14 +107,28 @@ class _Design:
             raise ValidationError(f"alpha must hold {want} intercept(s), got {a.size}")
         return a[list(self.intercepts)]
 
-    def scaled_loadings(self, x: np.ndarray, psi: float) -> np.ndarray:
-        """psi * sign * x'v, (groups - 1, n) and C-contiguous: one
-        matrix-vector product per v, signed afterwards, so each row is
+    def scaled_loadings(self, x: np.ndarray, psi: float, out=None) -> np.ndarray:
+        """psi * sign * x'v, (groups - 1, n), written into the rows of `out`
+        when it is given: one matrix-vector product per row, so each row is
         +-psi v'x bit for bit (a matrix-matrix product may sum in another
         order)."""
-        keys = {key for _, key in self.loadings}
-        u = {key: psi * (x @ _LOADINGS[key]) for key in keys}
-        return np.stack([sign * u[key] for sign, key in self.loadings])
+        if out is None:
+            out = np.empty((len(self.loadings), x.shape[0]))
+        for row, (sign, key) in zip(out, self.loadings):
+            np.matmul(x, _LOADINGS[key], out=row)
+            row *= sign * psi
+        return out
+
+    def propensities(self, x: np.ndarray, psi: float, alpha) -> np.ndarray:
+        """Assignment probabilities, (groups, n): the logits are formed in
+        rows 1.. and become the probabilities in place."""
+        offsets = self.offsets(alpha)
+        e = np.empty((len(self.labels), x.shape[0]))
+        e[0] = 0.0
+        self.scaled_loadings(x, psi, out=e[1:])
+        e[1:] += offsets[:, None]
+        _softmax_groups(e)
+        return e
 
 
 _DESIGNS = {
@@ -163,44 +178,11 @@ def gen_covariates(n: int, rng) -> np.ndarray:
     return x
 
 
-def _assignment_probs(offsets: np.ndarray, scaled: np.ndarray, out=None) -> np.ndarray:
-    """Probabilities of the logits (0, offsets + scaled[:, i]) with the
-    groups on the leading axis, (groups, n) for `scaled` (groups - 1, n);
-    written into `out` when it is given.
-
-    Bit for bit the transpose of `propensity._softmax(offsets + z)` with
-    z the C-contiguous (n, groups - 1) copy of scaled.T: m = max(0, l_1,
-    ..., l_K) elementwise (a max is exact in any order), e_0 = exp(-m),
-    e_k = exp(l_k - m), d = ((e_0 + e_1) + e_2) + ... and p = e / d, as
-    `_softmax` does, because numpy adds a row of at most 7 entries in
-    order.  Besides `out` it holds one (n,) array, where `_softmax` holds
-    several (n, groups) ones.
-    """
-    k, n = scaled.shape
-    e = np.empty((k + 1, n)) if out is None else out
-    logits = e[1:]
-    np.add(offsets[:, None], scaled, out=logits)
-    m = np.maximum(logits[0], 0.0)
-    for row in logits[1:]:
-        np.maximum(m, row, out=m)
-    np.negative(m, out=e[0])
-    logits -= m
-    np.exp(e, out=e)
-    d = np.add(e[0], e[1], out=m)
-    for row in e[2:]:
-        d += row
-    e /= d
-    return e
-
-
 def true_propensities(setting: str, x: np.ndarray, psi: float, alpha) -> np.ndarray:
     """Assignment probabilities of the data-generating process, (n, groups)."""
-    design = _design(setting)
     # C order: numpy reduces over the probabilities (the OW tilt) in the
-    # order of their memory layout, so the layout fixes bits; this is the
-    # layout `_softmax` returns
-    probs = _assignment_probs(design.offsets(alpha), design.scaled_loadings(x, psi))
-    return np.ascontiguousarray(probs.T)
+    # order of their memory layout, so the layout fixes bits
+    return np.ascontiguousarray(_design(setting).propensities(x, psi, alpha).T)
 
 
 def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.ndarray:
@@ -216,8 +198,7 @@ def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.nda
     """
     _check_psi(psi)
     rng = np.random.default_rng(rng)
-    design = _design(setting)
-    cdf = _assignment_probs(design.offsets(alpha), design.scaled_loadings(x, psi))
+    cdf = _design(setting).propensities(x, psi, alpha)
     np.cumsum(cdf, axis=0, out=cdf)
     u = rng.random(x.shape[0])
     z = np.zeros(x.shape[0], dtype=np.int64)
@@ -269,14 +250,15 @@ def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
     The times are bit for bit `gen_outcomes(x, theta, rng=rng)[arange(n),
     z]`: the same (n, arms) block of uniforms is drawn, and only the
     assigned arm's go through the same elementwise steps, so no (n, arms)
-    array of times or rates is formed.
+    array of times or rates is formed.  The assigned uniforms are taken
+    before x'beta is formed, so the block and x'beta are not held at once.
     """
     x = gen_covariates(n, rng)
     z = gen_treatment(setting, x, psi, alpha, rng)
     theta_full = np.concatenate([[0.0], _design(setting).theta])
-    lp = x @ BETA_OUTCOME
-    t = rng.random((n, theta_full.size))[np.arange(n), z]
-    return x, z, _weibull_times(t, theta_full[z] + lp, WEIBULL_SHAPE, WEIBULL_SCALE)
+    t = np.take_along_axis(rng.random((n, theta_full.size)), z[:, None], axis=1)[:, 0]
+    rate = theta_full[z] + x @ BETA_OUTCOME
+    return x, z, _weibull_times(t, rate, WEIBULL_SHAPE, WEIBULL_SCALE)
 
 
 def make_replicate(
@@ -307,18 +289,21 @@ def _group_shares(offsets: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     """Mean over the units of the probabilities of the logits
     (0, offsets + scaled[:, i]), shape (groups,); `scaled` is (groups - 1, n).
 
-    Bit for bit `true_propensities(...).mean(axis=0)`: `_assignment_probs`
-    on blocks of `_CHUNK` units, in one reused buffer.  `mean(axis=0)` of a
-    C-contiguous array adds the rows in order, so the block's running total
-    goes into its first unit and an in-place cumulative sum along the units
-    carries it to the last.
+    Bit for bit `true_propensities(...).mean(axis=0)`: the logits of
+    blocks of `_CHUNK` units become their probabilities in one reused
+    buffer.  `mean(axis=0)` of a C-contiguous array adds the rows in order,
+    so the block's running total goes into its first unit and an in-place
+    cumulative sum along the units carries it to the last.
     """
     k, n = scaled.shape
     buf = np.empty((k + 1, _CHUNK))
     total = np.zeros(k + 1)
     for start in range(0, n, _CHUNK):
         s = scaled[:, start:start + _CHUNK]
-        e = _assignment_probs(offsets, s, out=buf[:, :s.shape[1]])
+        e = buf[:, :s.shape[1]]
+        e[0] = 0.0
+        np.add(offsets[:, None], s, out=e[1:])
+        _softmax_groups(e)
         e[:, 0] += total
         np.cumsum(e, axis=1, out=e)
         total = e[:, -1].copy()

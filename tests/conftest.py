@@ -47,6 +47,17 @@ def collinear_cohort():
     )
 
 
+def softmax(offsets):
+    """Probabilities and log-sum-exp of the logits (0, offsets), row by
+    row, with the groups on the last axis: the max-shifted formula that
+    `propensity._softmax_groups` evaluates with the groups on axis -2."""
+    logits = np.column_stack([np.zeros(offsets.shape[0]), offsets])
+    top = logits.max(axis=1, keepdims=True)
+    num = np.exp(logits - top)
+    total = num.sum(axis=1, keepdims=True)
+    return num / total, (np.log(total) + top)[:, 0]
+
+
 def multinomial_loglik(gamma_flat, x, z, j):
     """Multinomial log-likelihood written from scratch (reference only)."""
     n, p = x.shape

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 
 import wcox
 import wcox.cli
+import wcox.marginal_cox
 import wcox.simulation
 from conftest import random_survival_cohort
 from wcox import EstimandResult
@@ -314,6 +317,34 @@ class TestFit:
         assert out["n"] == out["trim"]["n_after"]
         for est in out["estimates"]:
             assert est["se"] > 0
+
+    @pytest.mark.parametrize("refit", [True, False])
+    def test_trim_frees_the_untrimmed_cohort_before_the_cox_fit(
+        self, cohort_csv, capsys, monkeypatch, refit
+    ):
+        # the untrimmed cohort keeps its propensity fit, so holding it
+        # through the Cox and sandwich stages raises the peak memory
+        loaded, alive = [], []
+        load, fit_mhr = wcox.cli._load_cohort, wcox.marginal_cox.fit_mhr
+
+        def recording_load(args):
+            cohort, names = load(args)
+            loaded.append(weakref.ref(cohort))
+            return cohort, names
+
+        def checking_fit_mhr(cohort, weights):
+            gc.collect()
+            alive.append(loaded[0]() is not None)
+            return fit_mhr(cohort, weights)
+
+        monkeypatch.setattr(wcox.cli, "_load_cohort", recording_load)
+        monkeypatch.setattr(wcox.marginal_cox, "fit_mhr", checking_fit_mhr)
+        args = ["fit", cohort_csv, "--time", "t", "--event", "d", "--treatment", "z",
+                "--covariates", "x1,x2,x3", "--trim", "0.1"]
+        assert main(args + ([] if refit else ["--no-trim-refit"])) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["trim"]["n_removed"] > 0
+        assert alive == [False]
 
     def test_level_is_reported_without_a_variance(self, four_unit_csv, capsys):
         code = main(

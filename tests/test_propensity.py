@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import collinear_cohort, multinomial_loglik, random_survival_cohort
+from conftest import collinear_cohort, multinomial_loglik, random_survival_cohort, softmax
 from wcox import (
     ConvergenceError,
     PropensityFit,
@@ -25,7 +25,7 @@ from wcox import (
     validate_cohort,
 )
 from wcox import propensity
-from wcox.propensity import _unit_weights, multinomial_information
+from wcox.propensity import _CHUNK, _softmax_groups, _unit_weights, multinomial_information
 
 
 def test_probs_uniform_at_zero_coefficients():
@@ -38,6 +38,33 @@ def test_probs_rows_sum_to_one():
     rng = np.random.default_rng(1)
     p = multinomial_probs(rng.normal(size=(3, 4)), rng.normal(size=(50, 3)))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("groups", [2, 3, 4, 5])
+@pytest.mark.parametrize("stack", [None, 3])
+@pytest.mark.parametrize("n", [1, 1000, 2 * _CHUNK + 3])
+def test_softmax_groups_is_the_row_softmax_bit_for_bit(groups, stack, n):
+    rng = np.random.default_rng(100 * groups + n)
+    m = 1 if stack is None else stack
+    eta = rng.normal(0.0, 3.0, (m, n, groups - 1))
+    # ties at the maximum, with the reference and between groups, and
+    # logits of +-800, whose exp underflows after the shift: the second
+    # unit of every fit ties its logits at 800, and a third of the others
+    # take one of these values
+    pick = rng.random(eta.shape) < 0.3
+    eta[pick] = rng.choice([0.0, 1.5, 800.0, -800.0], size=pick.sum())
+    eta[:, 1:2] = 800.0
+    e = np.zeros((m, groups, n))
+    e[:, 1:] = eta.transpose(0, 2, 1)
+    if stack is None:
+        e = e[0]
+    top, total = _softmax_groups(e)
+    assert top.shape == total.shape == e.shape[:-2] + (n,)
+    for k in range(m):
+        probs, lse = softmax(eta[k])
+        at = () if stack is None else (k,)
+        np.testing.assert_array_equal(e[at].T, probs)
+        np.testing.assert_array_equal(np.log(total[at]) + top[at], lse)
 
 
 def test_intercept_only_mle_equals_group_shares():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import wcox.simulation
+from conftest import softmax
 from wcox import (
     EstimandResult,
     ScenarioConfig,
@@ -22,13 +23,13 @@ from wcox import (
     run_study,
     true_estimand,
 )
-from wcox.propensity import _CHUNK, _softmax
+from wcox.propensity import _CHUNK
 from wcox.simulation import (
     _DESIGNS,
+    _LOADINGS,
     B_COEF,
     BETA_OUTCOME,
     C_COEF,
-    _assignment_probs,
     _draw_assigned,
     _group_shares,
     _limit_blas_threads,
@@ -186,7 +187,7 @@ def test_group_shares_match_the_plain_expression_bit_for_bit(setting, n):
         # |alpha| up to ~40 makes a non-reference logit the row maximum
         for sd in (0.3, 5.0, 40.0):
             offsets = design.offsets(rng.normal(0.0, sd, max(design.intercepts) + 1))
-            plain = _softmax(offsets + np.ascontiguousarray(scaled.T)).mean(axis=0)
+            plain = softmax(offsets + np.ascontiguousarray(scaled.T))[0].mean(axis=0)
             assert np.array_equal(_group_shares(offsets, scaled), plain)
 
 
@@ -204,10 +205,16 @@ def _assignment_cases(setting, n):
             yield x, psi, alpha
 
 
+def _plain_scaled(setting, x, psi):
+    # sign * psi * x'v, (n, groups - 1), one product per group
+    return np.column_stack(
+        [sign * (psi * (x @ _LOADINGS[key])) for sign, key in _DESIGNS[setting].loadings]
+    )
+
+
 def _old_propensities(setting, x, psi, alpha):
     # the formula true_propensities evaluated with the groups on the last axis
-    design = _DESIGNS[setting]
-    return _softmax(np.add(design.offsets(alpha), design.scaled_loadings(x, psi).T, order="C"))
+    return softmax(_DESIGNS[setting].offsets(alpha) + _plain_scaled(setting, x, psi))[0]
 
 
 @pytest.mark.parametrize("setting", sorted(_DESIGNS))
@@ -216,7 +223,10 @@ def test_assignment_probs_keep_every_bit(setting, n):
     design = _DESIGNS[setting]
     for x, psi, alpha in _assignment_cases(setting, n):
         old = _old_propensities(setting, x, psi, alpha)
-        probs = _assignment_probs(design.offsets(alpha), design.scaled_loadings(x, psi))
+        np.testing.assert_array_equal(
+            design.scaled_loadings(x, psi), _plain_scaled(setting, x, psi).T
+        )
+        probs = design.propensities(x, psi, alpha)
         assert probs.shape == (len(design.labels), n)
         np.testing.assert_array_equal(probs, old.T)
         new = true_propensities(setting, x, psi, alpha)
@@ -262,20 +272,32 @@ def test_draw_assigned_is_the_chained_draw(setting, alpha, n):
     np.testing.assert_array_equal(rng_new.random(8), rng_old.random(8))
 
 
-def test_censoring_calibration_peak_memory_per_row():
-    # the calibration sample sets the peak memory of a study process; the
-    # draws keep the groups on the leading axis and transform the assigned
-    # arm's uniforms only (176 bytes per row when every arm was transformed)
-    alpha = [float.fromhex(h) for h in
-             ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")]
+def _peak_per_row(call):
+    """call() and its tracemalloc peak in bytes per calibration row."""
     tracemalloc.start()
     try:
-        lam = calibrate_censoring("factorial", 2.0, alpha, 0.25)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak / wcox.simulation._CAL_N_MC
+
+
+def test_censoring_calibration_peak_memory_per_row():
+    # the calibration sample sets the peak memory of a study process: the
+    # x, the assignment and the (n, arms) uniform block, 104.0 bytes per row
+    alpha = [float.fromhex(h) for h in
+             ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")]
+    lam, peak = _peak_per_row(lambda: calibrate_censoring("factorial", 2.0, alpha, 0.25))
     assert lam == 0.25
-    assert peak / wcox.simulation._CAL_N_MC <= 130, peak / wcox.simulation._CAL_N_MC
+    assert peak <= 108, peak
+
+
+def test_intercept_calibration_peak_memory_per_row():
+    # the covariate draw sets this peak, 96.8 bytes per row
+    alpha, peak = _peak_per_row(lambda: calibrate_intercepts("factorial", 2.0))
+    assert alpha.shape == (3,)
+    assert peak <= 100, peak
 
 
 class TestCalibration:
