@@ -42,7 +42,6 @@ from .propensity import _weigh, balance_table, parse_scheme, propensity_histogra
 from .simulation import (
     _DESIGNS,
     ScenarioConfig,
-    _shared_intercepts,
     run_study,
     true_estimand,
 )
@@ -519,19 +518,20 @@ def _cmd_simulate(args) -> int:
     else:
         cells = [(base.psi, base.censoring)]
     reports = []
-    # the intercepts and tau* depend on psi but not on the censoring level
-    with _shared_intercepts():
-        for psi, cens in cells:
-            known = next((r.estimands for r in reports if r.config.psi == psi), None)
-            report = run_study(dataclasses.replace(base, psi=psi, censoring=cens), known)
-            reports.append(report)
-            sys.stdout.write(report.format_table())
-            for reason, count in report.failure_reasons.items():
-                print(
-                    f"wcox: cell {psi:g}/{cens:g}: {count} of {report.config.replicates} "
-                    f"replicates failed with {reason}",
-                    file=sys.stderr,
-                )
+    # the intercepts and tau* depend on psi but not on the censoring level:
+    # a later cell of the same psi gets the first one's estimands, whose OW
+    # entry carries the intercepts
+    for psi, cens in cells:
+        known = next((r.estimands for r in reports if r.config.psi == psi), None)
+        report = run_study(dataclasses.replace(base, psi=psi, censoring=cens), known)
+        reports.append(report)
+        sys.stdout.write(report.format_table())
+        for reason, count in report.failure_reasons.items():
+            print(
+                f"wcox: cell {psi:g}/{cens:g}: {count} of {report.config.replicates} "
+                f"replicates failed with {reason}",
+                file=sys.stderr,
+            )
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             for k, report in enumerate(reports):

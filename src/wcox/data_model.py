@@ -53,12 +53,6 @@ def _one_hot(treatment: np.ndarray, groups: int) -> np.ndarray:
     return d
 
 
-def _indicators(treatment: np.ndarray, n_treatments: int) -> np.ndarray:
-    """(n, J) 0/1 matrix of the non-reference groups: column k-1 marks
-    group k, and rows of the reference group 0 are all zero."""
-    return _one_hot(treatment - 1, n_treatments)
-
-
 @dataclass(frozen=True)
 class Cohort:
     """Right-censored survival cohort with a categorical treatment.

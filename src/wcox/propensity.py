@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._engine import _damped_newton, _NewtonLimits
-from .data_model import Cohort, ConvergenceError, ValidationError, _indicators, _readonly
+from .data_model import Cohort, ConvergenceError, ValidationError, _readonly
 
 __all__ = [
     "PropensityFit",
@@ -285,7 +285,7 @@ def _fit_counts(cohort: Cohort, counts, start=None):
     j = cohort.n_treatments
     xt = _design(cohort.covariates)
     d = xt.shape[1]
-    onehot = _indicators(cohort.treatment, j).T
+    onehot = cohort._arm_onehot[:, 1:].T
     ridged = np.zeros(len(counts), dtype=bool)
 
     def regularize(info, rows):

@@ -13,8 +13,6 @@ with inverse-transform sampling; censoring is exponential.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,12 +28,13 @@ from .data_model import (
     StudyError,
     ValidationError,
     _check_fraction,
-    _indicators,
+    _one_hot,
     _readonly,
     factorial_treatment_labels,
 )
 from .marginal_cox import (
     bootstrap_covariance,
+    evaluate_score,
     fit_mhr,
     sandwich_covariance,
 )
@@ -43,6 +42,7 @@ from .propensity import (
     _CHUNK,
     _softmax_groups,
     _tilt,
+    _unit_weights,
     compute_weights,
     fit_multinomial_logit,
 )
@@ -482,7 +482,7 @@ def true_estimand(
     event = (times <= t0).astype(np.int64)
     y = np.minimum(times, t0)
     z_rec = np.repeat(np.arange(arms, dtype=np.int64), m)
-    core = fit_cox(y, event, _indicators(z_rec, arms - 1), np.tile(h, arms))
+    core = fit_cox(y, event, _one_hot(z_rec - 1, arms - 1), np.tile(h, arms))
     return EstimandResult(
         setting=setting,
         scheme=scheme,
@@ -657,9 +657,10 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
         se[scheme] = np.sqrt(np.diag(sand.cov_tau))
         se_boot[scheme] = np.sqrt(np.diag(boot.cov_tau))
 
-    naive = fit_cox(cohort.time, cohort.event, cohort._arm_onehot[:, 1:], np.ones(cohort.n))
-    tau["naive"] = naive.beta
-    se["naive"] = np.sqrt(np.diag(np.linalg.inv(naive.info)))
+    unit = _unit_weights(cohort)
+    tau["naive"] = fit_mhr(cohort, unit).tau
+    info = evaluate_score(cohort, unit, tau["naive"]).info
+    se["naive"] = np.sqrt(np.diag(np.linalg.inv(info)))
 
     design = np.hstack([cohort._arm_onehot[:, 1:], cohort.covariates])
     mv = fit_cox(cohort.time, cohort.event, design, np.ones(cohort.n))
@@ -747,35 +748,6 @@ def _limit_blas_threads(count: int) -> list:
     return previous
 
 
-# {(setting, psi): intercepts} while a `_shared_intercepts` block runs
-_INTERCEPT_MEMO = contextvars.ContextVar("intercept_memo", default=None)
-
-
-@contextlib.contextmanager
-def _shared_intercepts():
-    """Within the block, `run_study` calibrates the intercepts of each
-    (setting, psi) once and hands every later cell the same read-only
-    values."""
-    token = _INTERCEPT_MEMO.set({})
-    try:
-        yield
-    finally:
-        _INTERCEPT_MEMO.reset(token)
-
-
-def _study_intercepts(setting, psi):
-    """`calibrate_intercepts`, through the memo of an enclosing
-    `_shared_intercepts` block if there is one."""
-    memo = _INTERCEPT_MEMO.get()
-    if memo is None:
-        return calibrate_intercepts(setting, psi)
-    key = (setting, float(psi))
-    if key not in memo:
-        alpha = calibrate_intercepts(setting, psi)
-        memo[key] = _readonly(alpha) if isinstance(alpha, np.ndarray) else alpha
-    return memo[key]
-
-
 def run_study(
     config: ScenarioConfig,
     estimands: dict | None = None,
@@ -791,7 +763,11 @@ def run_study(
     method's target (the OW estimand for OW, the IPW estimand otherwise),
     coverage from 95% Wald intervals using the sandwich SE for the
     weighted methods and the model-based SE otherwise.  Estimands are
-    computed on demand unless supplied (keys 'ipw' and 'ow').
+    computed on demand unless supplied (keys 'ipw' and 'ow').  The
+    assignment intercepts are calibrated for the cell unless a supplied
+    OW estimand carries them (its `alpha`): the data are then drawn under
+    the intercepts that define the OW target, and the supplied alpha
+    becomes the report's.
 
     Failed replicates are dropped and counted; more than
     `max_failure_fraction` of them aborts the study with StudyError; a
@@ -801,12 +777,14 @@ def run_study(
     count and execution order nor on the host's BLAS thread count.
     Estimands computed here run on the host's BLAS threads.  A supplied
     estimand of another setting, psi or scheme than the cell and its key,
-    or with the wrong number of components, raises ValidationError before
+    or with the wrong number of components, or an OW estimand whose alpha
+    has the wrong size or is not finite, raises ValidationError before
     any calibration.
     """
     _check_fraction("max_failure_fraction", max_failure_fraction)
     estimands = dict(estimands or {})
-    labels = _design(config.setting).labels
+    design = _design(config.setting)
+    labels = design.labels
     j = len(labels) - 1
     for key, est in estimands.items():
         got = (est.setting, est.psi, est.scheme, np.shape(est.tau_star))
@@ -816,7 +794,11 @@ def run_study(
                 f"estimand {key!r} has (setting, psi, scheme, tau_star shape) {got}; "
                 f"the cell needs {want}"
             )
-    alpha = _study_intercepts(config.setting, config.psi)
+    alpha = estimands["ow"].alpha if "ow" in estimands else None
+    if alpha is None:
+        alpha = calibrate_intercepts(config.setting, config.psi)
+    elif not np.all(np.isfinite(design.offsets(alpha))):
+        raise ValidationError(f"the 'ow' estimand's alpha must be finite, got {alpha!r}")
     lambda_c = calibrate_censoring(
         config.setting, config.psi, alpha, config.censoring
     )

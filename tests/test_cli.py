@@ -888,7 +888,7 @@ class TestSimulate:
 
         def counting_intercepts(setting, psi):
             calibrations.append((setting, psi))
-            return np.zeros(2)
+            return 0.0
 
         estimates = tuple(
             {m: np.full(2, v) for m in wcox.simulation._METHODS} for v in (0.1, 0.2, 0.2)

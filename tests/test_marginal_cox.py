@@ -34,7 +34,7 @@ from wcox import (
 )
 from wcox import marginal_cox, propensity
 from wcox._engine import _risk_tables, fit_cox
-from wcox.data_model import _indicators
+from wcox.data_model import _one_hot
 from wcox.propensity import _CHUNK, _weigh
 from wcox.simulation import _replicate_estimates, make_replicate
 from wcox.weighted_km import weighted_km
@@ -705,7 +705,7 @@ class TestTablePath:
             _, _, w, _ = _weigh(co, scheme, target)
             est = fit_mhr(co, w)
             core = fit_cox(
-                co.time, co.event, _indicators(co.treatment, co.n_treatments), w.weights
+                co.time, co.event, _one_hot(co.treatment - 1, co.n_treatments), w.weights
             )
             np.testing.assert_allclose(est.tau, core.beta, rtol=0, atol=1e-8, err_msg=label)
             np.testing.assert_allclose(est.loglik, core.loglik, rtol=1e-12, err_msg=label)
@@ -725,6 +725,18 @@ class TestTablePath:
             np.testing.assert_array_equal(k, np.flatnonzero(f[0, :, g] > 0.0))
             np.testing.assert_allclose(curve.weighted_events[1:], f[0, k, g], rtol=1e-12)
             np.testing.assert_allclose(curve.weighted_at_risk[1:], r[0, k, g], rtol=1e-12)
+
+    def test_event_time_counts_match_an_unsorted_search(self, tied_cohort):
+        # `_tables_at` searches the event times with needles in the
+        # cohort's time order; the counts are those of the plain search
+        untied = random_survival_cohort(np.random.default_rng(52), n=300, j=2, p=2)
+        assert np.unique(untied.time).size == untied.n
+        assert np.unique(tied_cohort.time).size < tied_cohort.n // 2
+        for co in (tied_cohort, untied):
+            w = _unit_weights(co)
+            _, at, _ = marginal_cox._tables_at(co, w, np.zeros(co.n_treatments))
+            _, _, times = _risk_tables(co, w.weights[None])
+            np.testing.assert_array_equal(at, np.searchsorted(times, co.time, side="right"))
 
 
 @pytest.fixture(scope="module")
@@ -817,7 +829,7 @@ def _resample_pipeline(co, scheme, n_boot, seed, att_target=None):
                 events = np.bincount(sub.treatment[sub.event == 1], minlength=j + 1)
                 try:
                     if np.all(events > 0):
-                        design = _indicators(sub.treatment, j)
+                        design = _one_hot(sub.treatment - 1, j)
                         draws.append(fit_cox(sub.time, sub.event, design, w.weights).beta)
                         continue
                 except (ConvergenceError, ValidationError):

@@ -25,6 +25,7 @@ from wcox import (
     validate_cohort,
 )
 from wcox import propensity
+from wcox.data_model import _one_hot
 from wcox.propensity import _CHUNK, _softmax_groups, _unit_weights, multinomial_information
 
 
@@ -200,7 +201,8 @@ def test_count_quantities_keep_every_bit(m, n, j):
     rng = np.random.default_rng(100 * m + 10 * j + n)
     for p in range(7):
         xt = propensity._design(rng.normal(size=(n, p)))
-        onehot = propensity._indicators(rng.integers(0, j + 1, n), j).T
+        # the layout of the cohort's cached one-hot, as `_fit_counts` reads it
+        onehot = _one_hot(rng.integers(0, j + 1, n), j + 1)[:, 1:].T
         counts = rng.poisson(1.0, size=(m, n)).astype(np.float64)
         theta = rng.normal(scale=0.7, size=(m, j * (p + 1)))
         got = propensity._count_quantities(theta, xt, onehot, counts)

@@ -687,8 +687,20 @@ class TestRunStudy:
                 "('factorial', 2.0, 'ipw', (2,)); "
                 "the cell needs ('factorial', 2.0, 'ipw', (3,))",
             ),
+            (
+                _FACTORIAL_CELL,
+                {"ow": dataclasses.replace(
+                    _factorial_estimands()["ow"], alpha=np.array([-0.6, -0.8]))},
+                "alpha must hold 3 intercept(s), got 2",
+            ),
+            (
+                _FACTORIAL_CELL,
+                {"ow": dataclasses.replace(
+                    _factorial_estimands()["ow"], alpha=np.array([-0.6, np.nan, -0.4]))},
+                "the 'ow' estimand's alpha must be finite",
+            ),
         ],
-        ids=["setting", "psi", "scheme", "components"],
+        ids=["setting", "psi", "scheme", "components", "alpha-size", "alpha-nan"],
     )
     def test_mismatched_estimands_are_refused_before_calibration(
         self, monkeypatch, config, estimands, message
@@ -696,9 +708,36 @@ class TestRunStudy:
         def calibrate(*args):
             raise AssertionError("calibration ran")
 
-        monkeypatch.setattr(wcox.simulation, "_study_intercepts", calibrate)
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", calibrate)
+        monkeypatch.setattr(wcox.simulation, "calibrate_censoring", calibrate)
         with pytest.raises(ValidationError, match=re.escape(message)):
             run_study(config, estimands)
+
+    def test_a_supplied_ow_alpha_sets_the_intercepts(self, monkeypatch):
+        # the OW estimand's alpha is the cell's intercepts: the study
+        # does not calibrate them again and reports the same cell
+        config = ScenarioConfig(
+            setting="multi3", psi=1.0, n=150, replicates=3, bootstrap_b=8, seed=777
+        )
+        unsupplied = {
+            key: dataclasses.replace(est, alpha=None)
+            for key, est in _fabricated_estimands().items()
+        }
+        plain = run_study(config, unsupplied, max_failure_fraction=0.5)
+
+        def calibrate(*args):
+            raise AssertionError("intercept calibration ran")
+
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", calibrate)
+        supplied = dict(unsupplied, ow=dataclasses.replace(unsupplied["ow"], alpha=plain.alpha))
+        report = run_study(config, supplied, max_failure_fraction=0.5)
+        assert report.alpha == plain.alpha
+        csvs = []
+        for rep in (plain, report):
+            buf = io.StringIO()
+            rep.to_csv(buf)
+            csvs.append(buf.getvalue())
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("fraction", [-0.5, float("nan"), 1.5])
     def test_bad_failure_fraction_is_refused_before_calibration(
@@ -707,7 +746,7 @@ class TestRunStudy:
         def calibrate(*args):
             raise AssertionError("calibration ran")
 
-        monkeypatch.setattr(wcox.simulation, "_study_intercepts", calibrate)
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", calibrate)
         with pytest.raises(ValidationError, match=r"max_failure_fraction must lie in \[0, 1\]"):
             run_study(_FACTORIAL_CELL, _factorial_estimands(), max_failure_fraction=fraction)
 
