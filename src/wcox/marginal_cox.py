@@ -208,12 +208,16 @@ class StackedPieces:
     a_gg: np.ndarray
 
 
+def _gamma_rows(psfit: PropensityFit, coef, rows) -> np.ndarray:
+    """coef_{i,a} x_i of the units in `rows`, coef (units, J) and x_i the
+    unit's design row: shape (units, J(p+1)) in gamma.ravel() order."""
+    return (coef[:, :, None] * psfit.design[rows, None, :]).reshape(coef.shape[0], -1)
+
+
 def _score_rows(psfit: PropensityFit, cohort: Cohort, rows) -> np.ndarray:
     """pi of the units in `rows`: the propensity score residuals
     (D - e) x design, shape (units, J(p+1)) in gamma.ravel() order."""
-    e = psfit.probs[rows, 1:]
-    resid = cohort._arm_onehot[rows, 1:] - e
-    return (resid[:, :, None] * psfit.design[rows, None, :]).reshape(e.shape[0], -1)
+    return _gamma_rows(psfit, cohort._arm_onehot[rows, 1:] - psfit.probs[rows, 1:], rows)
 
 
 def _log_weight_gradient(
@@ -235,7 +239,7 @@ def _log_weight_gradient(
         coef += weights.tilt[rows, None] / e - e
     elif weights.scheme == "unit":
         coef[:] = 0.0
-    return (coef[:, :, None] * psfit.design[rows, None, :]).reshape(e.shape[0], -1)
+    return _gamma_rows(psfit, coef, rows)
 
 
 def _chunk_sum(n: int, term) -> np.ndarray:

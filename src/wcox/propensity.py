@@ -367,16 +367,15 @@ def _tilt(scheme: str, n, probs, att_target) -> np.ndarray:
     """The numerator h(X) of the weight h / e_Z for units of shape n: 1
     for ipw, e_target for att and the harmonic term (sum_k 1/e_k)^-1 for ow.
 
-    Only att and ow read `probs`, shape n + (J+1,).  The caller has checked
-    the scheme and the att target.
+    Only att and ow read `probs`, shape n + (J+1,); a zero propensity gives
+    the ow tilt 0.  The caller has checked the scheme and the att target.
     """
     if scheme == "ipw":
         return np.ones(n)
     if scheme == "att":
         return probs[..., int(att_target)].copy()
-    if np.any(probs == 0.0):
-        raise ValidationError("overlap weights need all propensities positive")
-    return 1.0 / (1.0 / probs).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        return 1.0 / (1.0 / probs).sum(axis=-1)
 
 
 def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> WeightSet:
@@ -412,6 +411,8 @@ def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> We
         )
 
     _check_scheme(scheme, att_target, g)
+    if scheme == "ow" and np.any(probs == 0.0):
+        raise ValidationError("overlap weights need all propensities positive")
     # a subnormal propensity overflows 1/e to inf; the check below
     # rejects the weights that it makes
     with np.errstate(over="ignore"):
@@ -433,41 +434,27 @@ def compute_weights(fit_or_probs, treatment, scheme: str, att_target=None) -> We
 
 
 def _count_weights(probs, treatment, drawn, scheme: str, att_target=None):
-    """`compute_weights` for a stack of fits, probs (B, n, J+1), whose
-    units i count only where drawn[b, i].
-
-    Returns (weights (B, n), failed (B,)).  Only drawn units enter the
-    checks of `compute_weights`, and the others get weight 0: their
-    propensities may be 0, and a zero count times an infinite weight would
-    be NaN.  The caller has checked the scheme and the att target.
+    """`compute_weights` for a stack of softmaxed fits, probs (B, n, J+1),
+    whose units i count only where drawn[b, i]; returns (weights (B, n),
+    failed (B,)).  A row fails where a drawn unit's weight is not finite
+    and positive, as `compute_weights` fails on the drawn units (its range
+    and row-sum checks pass every softmaxed row).  Undrawn units, whose
+    propensities may be 0, get weight 0.  The caller has checked the
+    scheme and the att target.
     """
-    n, g = probs.shape[1:]
-    e_assigned = probs[:, np.arange(n), treatment]
-    bad = (
-        np.any(probs < 0.0, axis=2)
-        | np.any(probs > 1.0, axis=2)
-        | (np.abs(probs.sum(axis=2) - 1.0) > 1e-8)
-        | (e_assigned == 0.0)
-    )
-    if scheme == "ow":
-        bad |= np.any(probs == 0.0, axis=2)
-    failed = np.any(bad & drawn, axis=1)
-    use = drawn & ~failed[:, None]
-    probs = np.where(use[:, :, None], probs, 1.0 / g)
-    with np.errstate(over="ignore"):
-        weights = _tilt(scheme, use.shape, probs, att_target) / probs[
-            :, np.arange(n), treatment
-        ]
-    failed |= np.any(use & ~((weights > 0.0) & np.isfinite(weights)), axis=1)
-    return np.where(use, weights, 0.0), failed
+    e_assigned = probs[:, np.arange(probs.shape[1]), treatment]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = _tilt(scheme, drawn.shape, probs, att_target) / e_assigned
+    weights = np.where(drawn, weights, 0.0)
+    failed = np.any(drawn & ~((weights > 0.0) & np.isfinite(weights)), axis=1)
+    return weights, failed
 
 
 def _unit_weights(cohort: Cohort) -> WeightSet:
-    """UNIT weights without a propensity model: `compute_weights` on
-    uniform propensities 1/(J+1), so every weight is exactly 1 and the
-    tilt is 1/(J+1)."""
-    g = cohort.n_treatments + 1
-    return compute_weights(np.full((cohort.n, g), 1.0 / g), cohort.treatment, "unit")
+    """UNIT weights without a propensity model: every weight 1 and the
+    tilt 1/(J+1), as `compute_weights` gives them on uniform propensities."""
+    tilt = np.full(cohort.n, 1.0 / (cohort.n_treatments + 1))
+    return WeightSet("unit", _readonly(np.ones(cohort.n)), _readonly(tilt))
 
 
 def _check_fit_rows(cohort: Cohort, fit: PropensityFit | None) -> None:

@@ -32,20 +32,8 @@ from .data_model import (
     _readonly,
     factorial_treatment_labels,
 )
-from .marginal_cox import (
-    bootstrap_covariance,
-    evaluate_score,
-    fit_mhr,
-    sandwich_covariance,
-)
-from .propensity import (
-    _CHUNK,
-    _softmax_groups,
-    _tilt,
-    _unit_weights,
-    compute_weights,
-    fit_multinomial_logit,
-)
+from .marginal_cox import bootstrap_covariance, evaluate_score, fit_weighted_mhr
+from .propensity import _CHUNK, _softmax_groups, _tilt
 
 __all__ = [
     "B_COEF",
@@ -635,31 +623,29 @@ def _replicate_estimates(setting, psi, alpha, lambda_c, n, bootstrap_b, master_s
 
     Returns (tau dict, se dict, se_boot dict) or raises on failure; seeds
     derive from (master_seed, replicate index, purpose) so results do not
-    depend on execution order.  Both bootstraps start their resamples at
-    the replicate's own propensity fit instead of fitting it again.
+    depend on execution order.  IPW, OW and the naive fit each run
+    `fit_weighted_mhr`; the cohort keeps its propensity fit, so the
+    weighted fits and both bootstraps share one.
     """
     cohort = make_replicate(
         setting, psi, alpha, lambda_c, n,
         np.random.default_rng(np.random.SeedSequence((master_seed, r, 0))),
     )
-    ps = fit_multinomial_logit(cohort)
     j = cohort.n_treatments
     tau: dict[str, np.ndarray] = {}
     se: dict[str, np.ndarray] = {}
     se_boot: dict[str, np.ndarray] = {}
 
     for k, scheme in enumerate(("ipw", "ow")):
-        w = compute_weights(ps, cohort.treatment, scheme)
-        est = fit_mhr(cohort, w)
-        sand = sandwich_covariance(cohort, ps, w, est.tau)
+        est = fit_weighted_mhr(cohort, scheme).estimate
         boot = bootstrap_covariance(cohort, scheme, bootstrap_b, (master_seed, r, 1 + k))
         tau[scheme] = est.tau
-        se[scheme] = np.sqrt(np.diag(sand.cov_tau))
+        se[scheme] = est.se
         se_boot[scheme] = np.sqrt(np.diag(boot.cov_tau))
 
-    unit = _unit_weights(cohort)
-    tau["naive"] = fit_mhr(cohort, unit).tau
-    info = evaluate_score(cohort, unit, tau["naive"]).info
+    naive = fit_weighted_mhr(cohort, "unit", variance="none")
+    tau["naive"] = naive.estimate.tau
+    info = evaluate_score(cohort, naive.weights, tau["naive"]).info
     se["naive"] = np.sqrt(np.diag(np.linalg.inv(info)))
 
     design = np.hstack([cohort._arm_onehot[:, 1:], cohort.covariates])
@@ -748,6 +734,19 @@ def _limit_blas_threads(count: int) -> list:
     return previous
 
 
+def _release_freed_heap() -> None:
+    """Return this process's freed heap to the system with glibc's
+    malloc_trim(0), so workers forked later do not start with it; a no-op
+    where the C library has no malloc_trim."""
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except OSError:
+        return
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+
+
 def run_study(
     config: ScenarioConfig,
     estimands: dict | None = None,
@@ -775,7 +774,9 @@ def run_study(
     Replicates may run in parallel (WCOX_THREADS caps the workers), each
     on one BLAS thread, so their results depend neither on the worker
     count and execution order nor on the host's BLAS thread count.
-    Estimands computed here run on the host's BLAS threads.  A supplied
+    Estimands computed here run on the host's BLAS threads.  The heap
+    that they and the calibrations freed goes back to the system (glibc's
+    malloc_trim) before the first replicate.  A supplied
     estimand of another setting, psi or scheme than the cell and its key,
     or with the wrong number of components, or an OW estimand whose alpha
     has the wrong size or is not finite, raises ValidationError before
@@ -812,6 +813,7 @@ def run_study(
                 seed=(config.seed, 9001 + k),
                 alpha=alpha if scheme == "ow" else None,
             )
+    _release_freed_heap()
     targets = {
         "ipw": estimands["ipw"].tau_star,
         "ow": estimands["ow"].tau_star,

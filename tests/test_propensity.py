@@ -217,12 +217,9 @@ def test_count_quantities_keep_every_bit(m, n, j):
         )
 
 
-def test_fit_peak_memory_per_unit():
-    # one fit on 2e5 units of the cohort-cli benchmark's layout (four
-    # factorial cells, three correlated normal and three binary
-    # covariates); holding every (1, J, n) temporary of an evaluation at
-    # once peaked at 343 bytes per unit
-    n = 200_000
+def _cli_layout_cohort(n):
+    """n units of the cohort-cli benchmark's layout: four factorial cells,
+    three correlated normal and three binary covariates."""
     rng = np.random.default_rng(3)
     chol = np.linalg.cholesky(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
     x = np.hstack([rng.standard_normal((n, 3)) @ chol.T, rng.integers(0, 2, (n, 3)) - 0.5])
@@ -231,9 +228,17 @@ def test_fit_peak_memory_per_unit():
     probs = np.exp(np.column_stack([np.zeros(n), ub, -ub, uc]))
     probs /= probs.sum(axis=1, keepdims=True)
     cell = (rng.random(n)[:, None] > probs.cumsum(axis=1)).sum(axis=1)
-    co = validate_cohort(
+    return validate_cohort(
         rng.exponential(1.0, n) + 1e-3, (rng.random(n) < 0.75).astype(int), cell, x
     )
+
+
+def test_fit_peak_memory_per_unit():
+    # one fit on 2e5 units of the cohort-cli benchmark's layout; holding
+    # every (1, J, n) temporary of an evaluation at once peaked at 343
+    # bytes per unit
+    n = 200_000
+    co = _cli_layout_cohort(n)
     tracemalloc.start()
     try:
         fit = fit_multinomial_logit(co)
@@ -242,6 +247,23 @@ def test_fit_peak_memory_per_unit():
         tracemalloc.stop()
     assert fit.score_norm <= 1e-8
     assert peak / n <= 320, peak / n
+
+
+def test_robust_fit_peak_memory_per_unit():
+    # the weights, tau and stacked sandwich of an OW fit on the same 2e5
+    # units, after the cohort's propensity fit: 186.0 bytes per unit on
+    # numpy 2.4 (IPW 178.0)
+    n = 200_000
+    co = _cli_layout_cohort(n)
+    fit_multinomial_logit(co)
+    tracemalloc.start()
+    try:
+        bundle = fit_weighted_mhr(co, "ow", variance="robust")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(bundle.estimate.se))
+    assert peak / n <= 195, peak / n
 
 
 def test_ridge_warning_on_collinear_covariates():
@@ -400,6 +422,93 @@ def test_weight_arrays_readonly():
     w = compute_weights(np.array([[0.5, 0.5]]), np.array([0]), "ipw")
     with pytest.raises(ValueError):
         w.weights[0] = 3.0
+
+
+# ---------------------------------------------- the weights of resamples
+
+
+def _softmaxed(logits):
+    """The probabilities (..., n, G) of logits (..., n, G), computed by
+    `_softmax_groups`, which holds the groups on axis -2."""
+    e = np.swapaxes(np.array(logits, dtype=np.float64), -1, -2).copy()
+    _softmax_groups(e)
+    return np.ascontiguousarray(np.swapaxes(e, -1, -2))
+
+
+def _materialised_weights(probs, treatment, drawn, scheme, target):
+    """`compute_weights` on each row's drawn units: (weights (B, n), 0 on
+    undrawn units, and failed (B,), where it raised)."""
+    weights = np.zeros(drawn.shape)
+    failed = np.zeros(len(drawn), dtype=bool)
+    for b, row in enumerate(drawn):
+        units = np.flatnonzero(row)
+        try:
+            weights[b, units] = compute_weights(
+                probs[b, units], treatment[units], scheme, target
+            ).weights
+        except ValidationError:
+            failed[b] = True
+    return weights, failed
+
+
+# the edge rows of test_count_weights_fail_where_compute_weights_raises:
+# unit 4 is never drawn, and each row puts a logit of -800, an exact zero
+# propensity, at (unit, group)
+_TREATMENT = np.array([0, 1, 2, 1, 0])
+_EDGE_ZEROS = {
+    "assigned": (1, 1),
+    "not-assigned": (2, 1),
+    "att-target": (0, 2),
+    "undrawn": (4, 0),
+}
+# which edge rows fail, per scheme (the att target is group 2)
+_EDGE_FAILS = {
+    "ipw": {"assigned"},
+    "ow": {"assigned", "not-assigned", "att-target"},
+    "att": {"assigned", "att-target"},
+}
+
+
+@pytest.mark.parametrize("scheme", ["ipw", "ow", "att"])
+def test_count_weights_fail_where_compute_weights_raises(scheme):
+    # the edge rows, then random rows of random draws whose logits are
+    # -800 at one in ten (unit, group) pairs, the reference included
+    target = 2 if scheme == "att" else None
+    rng = np.random.default_rng(8)
+    g, n = 3, len(_TREATMENT)
+    logits = rng.normal(size=(len(_EDGE_ZEROS) + 60, n, g))
+    logits[..., 0] = 0.0
+    for b, (unit, group) in enumerate(_EDGE_ZEROS.values()):
+        logits[b, unit, group] = -800.0
+    logits[len(_EDGE_ZEROS):][rng.random((60, n, g)) < 0.1] = -800.0
+    probs = _softmaxed(logits)
+    drawn = rng.poisson(1.0, size=(len(logits), n)) > 0
+    drawn[: len(_EDGE_ZEROS)] = np.arange(n) != 4
+    drawn[:, 0] |= ~drawn.any(axis=1)
+    assert np.any(probs == 0.0)
+
+    weights, failed = propensity._count_weights(probs, _TREATMENT, drawn, scheme, target)
+    want_weights, want_failed = _materialised_weights(
+        probs, _TREATMENT, drawn, scheme, target
+    )
+    np.testing.assert_array_equal(failed, want_failed)
+    np.testing.assert_array_equal(weights[~failed], want_weights[~failed])
+    edge = dict(zip(_EDGE_ZEROS, failed))
+    assert {name for name, bad in edge.items() if bad} == _EDGE_FAILS[scheme]
+    assert 0 < failed[len(_EDGE_ZEROS):].sum() < 60
+
+
+@pytest.mark.parametrize("groups", [2, 3, 4, 5])
+def test_softmaxed_rows_pass_the_range_and_row_sum_checks(groups):
+    # why `_count_weights` does not check them: every row of logits in
+    # {-800, 0, 800} (the reference 0), ties included, and random wide ones
+    grid = np.array(np.meshgrid(*[[-800.0, 0.0, 800.0]] * (groups - 1))).reshape(groups - 1, -1).T
+    wide = np.random.default_rng(groups).normal(scale=400.0, size=(200, groups - 1))
+    logits = np.column_stack([np.zeros(len(grid) + 200), np.vstack([grid, wide])])
+    probs = _softmaxed(logits)
+    assert np.all((probs >= 0.0) & (probs <= 1.0))
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-8
+    compute_weights(probs, probs.argmax(axis=1), "ipw")
 
 
 def test_parse_scheme():

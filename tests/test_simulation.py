@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -756,6 +757,54 @@ class TestRunStudy:
         )
         with pytest.raises(StudyError, match="study aborted"):
             run_study(config, _fabricated_estimands())
+
+    def test_freed_heap_is_released_once_before_the_replicates(self, monkeypatch):
+        calls = []
+
+        def record(name, value=None):
+            def call(*args):
+                calls.append(name)
+                return value
+            return call
+
+        monkeypatch.setenv("WCOX_THREADS", "1")
+        monkeypatch.setattr(wcox.simulation, "calibrate_intercepts", record("intercepts", -0.2383))
+        monkeypatch.setattr(wcox.simulation, "calibrate_censoring", record("censoring", 0.3))
+        monkeypatch.setattr(wcox.simulation, "_release_freed_heap", record("release"))
+        replicate = wcox.simulation._replicate_estimates
+
+        def spy(*args):
+            calls.append("replicate")
+            return replicate(*args)
+
+        monkeypatch.setattr(wcox.simulation, "_replicate_estimates", spy)
+        config = ScenarioConfig(
+            setting="multi3", psi=1.0, n=150, replicates=2, bootstrap_b=8, seed=777
+        )
+        estimands = {
+            key: dataclasses.replace(est, alpha=None)
+            for key, est in _fabricated_estimands().items()
+        }
+        run_study(config, estimands)
+        assert calls == ["intercepts", "censoring", "release", "replicate", "replicate"]
+
+    def test_heap_release_calls_malloc_trim_where_libc_has_it(self, monkeypatch):
+        pads = []
+
+        def malloc_trim(pad):
+            pads.append(pad)
+            return 1
+
+        for libc in (SimpleNamespace(malloc_trim=malloc_trim), SimpleNamespace()):
+            monkeypatch.setattr(wcox.simulation.ctypes, "CDLL", lambda name, lib=libc: lib)
+            wcox.simulation._release_freed_heap()
+        assert pads == [0]
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(wcox.simulation.ctypes, "CDLL", no_library)
+        wcox.simulation._release_freed_heap()
 
 
 class TestWorkerCount:
