@@ -150,19 +150,41 @@ def _check_psi(psi) -> None:
         raise ValidationError(f"psi must be positive and finite, got {psi!r}")
 
 
+def _row_blocks(n: int):
+    """Slices of at most `_CHUNK` rows covering 0..n in order (one empty
+    slice when n == 0).  A last block of one row joins the block before
+    it, so no block has one row unless n == 1: a one-row matrix product
+    runs as a dot product, whose bits may differ from those of the same
+    row in a product of several rows."""
+    start = 0
+    while True:
+        stop = n if n - start <= _CHUNK + 1 else start + _CHUNK
+        yield slice(start, stop)
+        if stop == n:
+            return
+        start = stop
+
+
 def gen_covariates(n: int, rng) -> np.ndarray:
     """Draw the six baseline covariates, shape (n, 6).
 
     Columns 0-2: equicorrelated (rho = 0.5) standard normals via a
-    Cholesky factor; columns 3-5: independent Bernoulli(0.5) - 0.5.
+    Cholesky factor; columns 3-5: independent Bernoulli(0.5) - 0.5.  All
+    the normals are drawn before the Bernoullis, in row blocks that are
+    written straight into the output, so the stream and the bits are
+    those of one (n, 3) draw of each.
     """
     rng = np.random.default_rng(rng)
     cov = np.full((3, 3), _NORMAL_EQUICORR)
     np.fill_diagonal(cov, 1.0)
     chol = np.linalg.cholesky(cov)
     x = np.empty((n, 6))
-    x[:, :3] = rng.standard_normal((n, 3)) @ chol.T
-    np.subtract(rng.integers(0, 2, size=(n, 3)), 0.5, out=x[:, 3:])
+    for rows in _row_blocks(n):
+        block = x[rows, :3]
+        np.matmul(rng.standard_normal(block.shape), chol.T, out=block)
+    for rows in _row_blocks(n):
+        block = x[rows, 3:]
+        np.subtract(rng.integers(0, 2, size=block.shape), 0.5, out=block)
     return x
 
 
@@ -179,19 +201,22 @@ def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.nda
     for factorial, whose groups follow the (z1, z2) cell coding 0..3.
 
     A unit's group is the number of k with u > cdf_k, cdf_k = p_0 + ... +
-    p_k summed in order, for one uniform u per unit.  The probabilities
-    keep the groups on the leading axis and become the cumulative sums in
-    place, so the cdf rows are bit for bit those of
-    `np.cumsum(true_propensities(...), axis=1)`.
+    p_k summed in order, for one uniform u per unit, all drawn first.  The
+    probabilities of each row block keep the groups on the leading axis
+    and become the cumulative sums in place, so the cdf rows are bit for
+    bit those of `np.cumsum(true_propensities(...), axis=1)`.
     """
     _check_psi(psi)
+    design = _design(setting)
+    design.offsets(alpha)  # checks alpha before anything is drawn
     rng = np.random.default_rng(rng)
-    cdf = _design(setting).propensities(x, psi, alpha)
-    np.cumsum(cdf, axis=0, out=cdf)
     u = rng.random(x.shape[0])
     z = np.zeros(x.shape[0], dtype=np.int64)
-    for row in cdf:
-        z += u > row
+    for rows in _row_blocks(x.shape[0]):
+        cdf = design.propensities(x[rows], psi, alpha)
+        np.cumsum(cdf, axis=0, out=cdf)
+        for row in cdf:
+            z[rows] += u[rows] > row
     return z
 
 
@@ -236,16 +261,21 @@ def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
     calibration sample.
 
     The times are bit for bit `gen_outcomes(x, theta, rng=rng)[arange(n),
-    z]`: the same (n, arms) block of uniforms is drawn, and only the
-    assigned arm's go through the same elementwise steps, so no (n, arms)
-    array of times or rates is formed.  The assigned uniforms are taken
-    before x'beta is formed, so the block and x'beta are not held at once.
+    z]`: the same uniforms are drawn, a row block of (rows, arms) at a
+    time, and only the assigned arm's go through the same elementwise
+    steps, so no (n, arms) array of uniforms, times or rates is formed.
+    The rate x'beta + theta_z is formed block by block in its output.
     """
     x = gen_covariates(n, rng)
     z = gen_treatment(setting, x, psi, alpha, rng)
     theta_full = np.concatenate([[0.0], _design(setting).theta])
-    t = np.take_along_axis(rng.random((n, theta_full.size)), z[:, None], axis=1)[:, 0]
-    rate = theta_full[z] + x @ BETA_OUTCOME
+    t = np.empty(n)
+    rate = np.empty(n)
+    for rows in _row_blocks(n):
+        zr = z[rows]
+        t[rows] = rng.random((zr.size, theta_full.size))[np.arange(zr.size), zr]
+        np.matmul(x[rows], BETA_OUTCOME, out=rate[rows])
+        rate[rows] += theta_full[zr]
     return x, z, _weibull_times(t, rate, WEIBULL_SHAPE, WEIBULL_SCALE)
 
 
@@ -320,8 +350,8 @@ def calibrate_intercepts(setting: str, psi: float):
     """
     design = _design(setting)
     _check_psi(psi)
-    # only the projections enter the loop; dropping x keeps the peak memory
-    # of calibration below that of calibrate_censoring
+    # only the projections enter the loop, so x is dropped before it; the
+    # peak memory is reached as the projections are formed next to x
     x = gen_covariates(_CAL_N_MC, np.random.default_rng(_CAL_SEED_INTERCEPTS))
     scaled = design.scaled_loadings(x, psi)
     del x

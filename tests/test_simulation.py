@@ -35,6 +35,7 @@ from wcox.simulation import (
     _group_shares,
     _limit_blas_threads,
     _openblas_controls,
+    _row_blocks,
     _worker_count,
     calibrate_censoring,
     calibrate_intercepts,
@@ -121,8 +122,11 @@ class TestPropensities:
     )
     def test_wrong_intercept_count(self, setting, alpha):
         x = np.zeros((2, 6))
+        rng = np.random.default_rng(0)
         with pytest.raises(ValidationError, match="intercept"):
-            gen_treatment(setting, x, 1.0, alpha, np.random.default_rng(0))
+            gen_treatment(setting, x, 1.0, alpha, rng)
+        # refused before the uniforms are drawn
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_assignment_frequencies_match_probabilities(self):
         x = gen_covariates(120_000, np.random.default_rng(4))
@@ -235,8 +239,25 @@ def test_assignment_probs_keep_every_bit(setting, n):
         np.testing.assert_array_equal(new, old)
 
 
+# row counts at the edges of the draws' row blocks
+_BLOCK_EDGES = [0, 1, 1000, _CHUNK + 1, 2 * _CHUNK, 3 * _CHUNK + 5]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2,
+                               2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK + 5])
+def test_row_blocks_cover_the_rows_in_order(n):
+    blocks = list(_row_blocks(n))
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    # every block but the last has _CHUNK rows; the last has 2.._CHUNK + 1,
+    # or n rows when n < 2
+    assert sizes[:-1] == [_CHUNK] * (len(sizes) - 1)
+    assert min(n, 2) <= sizes[-1] <= _CHUNK + 1
+
+
 @pytest.mark.parametrize("setting", sorted(_DESIGNS))
-@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_gen_treatment_keeps_every_draw(setting, n):
     for x, psi, alpha in _assignment_cases(setting, n):
         p = _old_propensities(setting, x, psi, alpha)
@@ -247,19 +268,41 @@ def test_gen_treatment_keeps_every_draw(setting, n):
         np.testing.assert_array_equal(z, old)
 
 
-@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("setting", sorted(_DESIGNS))
+@pytest.mark.parametrize("n", [2, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("layout", ["fortran", "reversed"])
+def test_gen_treatment_reads_any_memory_layout(setting, n, layout):
+    for x, psi, alpha in _assignment_cases(setting, n):
+        if layout == "fortran":
+            other = np.asfortranarray(x)
+            assert not other.flags.c_contiguous
+        else:
+            other = np.ascontiguousarray(x[::-1])[::-1]
+            assert other.strides[0] < 0
+        np.testing.assert_array_equal(other, x)
+        rng_c, rng_other = np.random.default_rng(n), np.random.default_rng(n)
+        np.testing.assert_array_equal(
+            gen_treatment(setting, other, psi, alpha, rng_other),
+            gen_treatment(setting, x, psi, alpha, rng_c),
+        )
+        np.testing.assert_array_equal(rng_other.random(4), rng_c.random(4))
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_gen_covariates_is_the_stacked_draw(n):
-    x = gen_covariates(n, np.random.default_rng(n))
+    rng_new = np.random.default_rng(n)
+    x = gen_covariates(n, rng_new)
     rng = np.random.default_rng(n)
     chol = np.linalg.cholesky(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
     x_norm = rng.standard_normal((n, 3)) @ chol.T
     x_bin = rng.integers(0, 2, size=(n, 3)).astype(np.float64) - 0.5
     assert x.flags.c_contiguous
     np.testing.assert_array_equal(x, np.hstack([x_norm, x_bin]))
+    np.testing.assert_array_equal(rng_new.random(8), rng.random(8))
 
 
 @pytest.mark.parametrize("setting, alpha", [("multi3", -0.24), ("factorial", (-0.6, -0.8, -0.4))])
-@pytest.mark.parametrize("n", [1, 1000, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_draw_assigned_is_the_chained_draw(setting, alpha, n):
     rng_new, rng_old = np.random.default_rng(n), np.random.default_rng(n)
     x, z, t = _draw_assigned(setting, 2.0, alpha, n, rng_new)
@@ -285,20 +328,20 @@ def _peak_per_row(call):
 
 
 def test_censoring_calibration_peak_memory_per_row():
-    # the calibration sample sets the peak memory of a study process: the
-    # x, the assignment and the (n, arms) uniform block, 104.0 bytes per row
+    # the calibration sample sets the peak memory of a study process: x, the
+    # assignment, the assigned times and their rates, 72.8 bytes per row
     alpha = [float.fromhex(h) for h in
              ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")]
     lam, peak = _peak_per_row(lambda: calibrate_censoring("factorial", 2.0, alpha, 0.25))
     assert lam == 0.25
-    assert peak <= 108, peak
+    assert peak <= 76, peak
 
 
 def test_intercept_calibration_peak_memory_per_row():
-    # the covariate draw sets this peak, 96.8 bytes per row
+    # x and its signed projections set this peak, 72.7 bytes per row
     alpha, peak = _peak_per_row(lambda: calibrate_intercepts("factorial", 2.0))
     assert alpha.shape == (3,)
-    assert peak <= 100, peak
+    assert peak <= 76, peak
 
 
 class TestCalibration:
