@@ -13,6 +13,7 @@ with inverse-transform sampling; censoring is exponential.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -165,26 +166,55 @@ def _row_blocks(n: int):
         start = stop
 
 
+def _covariate_blocks(n: int, rng):
+    """The draw of `gen_covariates(n, rng)` as an iterator of (rows, x)
+    over `_row_blocks(n)`, x being the (rows, 6) covariates of those rows.
+
+    The stream holds all the normals before the Bernoullis, so a row is
+    complete only once every normal is drawn.  Rather than keep the
+    normals, this call copies `rng`, moves `rng` past them (drawing and
+    dropping them block by block) and keeps the Bernoullis, drawn as
+    int64 blocks as the stream has them, in an (n, 3) int8 array; each
+    block then draws its normals again from the copy.  So `rng` is left
+    where `gen_covariates` leaves it as soon as this returns, and the
+    iterator holds 3 bytes per row.
+    """
+    replay = copy.deepcopy(rng)
+    for rows in _row_blocks(n):
+        rng.standard_normal((rows.stop - rows.start, 3))
+    bits = np.empty((n, 3), dtype=np.int8)
+    for rows in _row_blocks(n):
+        bits[rows] = rng.integers(0, 2, size=(rows.stop - rows.start, 3))
+    return _replayed_blocks(n, replay, bits)
+
+
+def _replayed_blocks(n: int, replay, bits: np.ndarray):
+    """The blocks of `_covariate_blocks`: the normals drawn from `replay`
+    and their Cholesky product, next to the kept Bernoullis - 0.5."""
+    cov = np.full((3, 3), _NORMAL_EQUICORR)
+    np.fill_diagonal(cov, 1.0)
+    chol = np.linalg.cholesky(cov)
+    for rows in _row_blocks(n):
+        x = np.empty((rows.stop - rows.start, 6))
+        np.matmul(replay.standard_normal((x.shape[0], 3)), chol.T, out=x[:, :3])
+        np.subtract(bits[rows], 0.5, out=x[:, 3:])
+        yield rows, x
+
+
 def gen_covariates(n: int, rng) -> np.ndarray:
     """Draw the six baseline covariates, shape (n, 6).
 
     Columns 0-2: equicorrelated (rho = 0.5) standard normals via a
     Cholesky factor; columns 3-5: independent Bernoulli(0.5) - 0.5.  All
-    the normals are drawn before the Bernoullis, in row blocks that are
-    written straight into the output, so the stream and the bits are
-    those of one (n, 3) draw of each.
+    the normals are drawn before the Bernoullis, so the stream and the
+    bits are those of one (n, 3) draw of each.  The output is filled from
+    `_covariate_blocks`, the draw path the calibrations and replicates
+    share, which draws the normals twice: once to move the generator past
+    them and once, from a copy of it, row block by row block.
     """
-    rng = np.random.default_rng(rng)
-    cov = np.full((3, 3), _NORMAL_EQUICORR)
-    np.fill_diagonal(cov, 1.0)
-    chol = np.linalg.cholesky(cov)
     x = np.empty((n, 6))
-    for rows in _row_blocks(n):
-        block = x[rows, :3]
-        np.matmul(rng.standard_normal(block.shape), chol.T, out=block)
-    for rows in _row_blocks(n):
-        block = x[rows, 3:]
-        np.subtract(rng.integers(0, 2, size=block.shape), 0.5, out=block)
+    for rows, block in _covariate_blocks(n, np.random.default_rng(rng)):
+        x[rows] = block
     return x
 
 
@@ -211,12 +241,20 @@ def gen_treatment(setting: str, x: np.ndarray, psi: float, alpha, rng) -> np.nda
     design.offsets(alpha)  # checks alpha before anything is drawn
     rng = np.random.default_rng(rng)
     u = rng.random(x.shape[0])
-    z = np.zeros(x.shape[0], dtype=np.int64)
+    z = np.empty(x.shape[0], dtype=np.int64)
     for rows in _row_blocks(x.shape[0]):
-        cdf = design.propensities(x[rows], psi, alpha)
-        np.cumsum(cdf, axis=0, out=cdf)
-        for row in cdf:
-            z[rows] += u[rows] > row
+        z[rows] = _assign(design, x[rows], psi, alpha, u[rows])
+    return z
+
+
+def _assign(design: _Design, x: np.ndarray, psi: float, alpha, u: np.ndarray) -> np.ndarray:
+    """The group of each row of x for its uniform u: the number of k with
+    u > cdf_k, the probabilities becoming their cumulative sums in place."""
+    cdf = design.propensities(x, psi, alpha)
+    np.cumsum(cdf, axis=0, out=cdf)
+    z = np.zeros(x.shape[0], dtype=np.int64)
+    for row in cdf:
+        z += u > row
     return z
 
 
@@ -255,28 +293,43 @@ def gen_outcomes(
     return _weibull_times(t, np.add(theta_full[None, :], lp[:, None]), shape, scale)
 
 
-def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
+def _assigned_blocks(setting: str, psi: float, alpha, n: int, rng):
     """Covariates, assignment and assigned potential time, drawn in that
     order from `rng`: the shared start of a replicate and of the censoring
-    calibration sample.
+    calibration sample, as a generator of (rows, x, z, t) over
+    `_row_blocks(n)`.
 
-    The times are bit for bit `gen_outcomes(x, theta, rng=rng)[arange(n),
-    z]`: the same uniforms are drawn, a row block of (rows, arms) at a
-    time, and only the assigned arm's go through the same elementwise
-    steps, so no (n, arms) array of uniforms, times or rates is formed.
-    The rate x'beta + theta_z is formed block by block in its output.
+    The covariates stream from `_covariate_blocks`, which moves `rng` past
+    them at once; the assignment uniforms u are then drawn for all n
+    units, as `gen_treatment` draws them, and each block takes its groups
+    from `_assign`.  The times are bit for bit `gen_outcomes(x, theta,
+    rng=rng)[arange(n), z]`: the same uniforms are drawn, a row block of
+    (rows, arms) at a time, and only the assigned arm's go through the
+    same elementwise steps with the rate x'beta + theta_z, so no (n, 6)
+    covariates and no (n, arms) uniforms, times or rates are held.  The
+    generator must be run out before `rng` draws anything else.
     """
-    x = gen_covariates(n, rng)
-    z = gen_treatment(setting, x, psi, alpha, rng)
-    theta_full = np.concatenate([[0.0], _design(setting).theta])
+    design = _design(setting)
+    theta_full = np.concatenate([[0.0], design.theta])
+    blocks = _covariate_blocks(n, rng)
+    u = rng.random(n)
+    for rows, x in blocks:
+        z = _assign(design, x, psi, alpha, u[rows])
+        t = rng.random((z.size, theta_full.size))[np.arange(z.size), z]
+        rate = np.matmul(x, BETA_OUTCOME)
+        rate += theta_full[z]
+        yield rows, x, z, _weibull_times(t, rate, WEIBULL_SHAPE, WEIBULL_SCALE)
+
+
+def _draw_assigned(setting: str, psi: float, alpha, n: int, rng):
+    """x, z and t of `_assigned_blocks`, collected into (n, 6), (n,) and
+    (n,) arrays."""
+    x = np.empty((n, 6))
+    z = np.empty(n, dtype=np.int64)
     t = np.empty(n)
-    rate = np.empty(n)
-    for rows in _row_blocks(n):
-        zr = z[rows]
-        t[rows] = rng.random((zr.size, theta_full.size))[np.arange(zr.size), zr]
-        np.matmul(x[rows], BETA_OUTCOME, out=rate[rows])
-        rate[rows] += theta_full[zr]
-    return x, z, _weibull_times(t, rate, WEIBULL_SHAPE, WEIBULL_SCALE)
+    for rows, xb, zb, tb in _assigned_blocks(setting, psi, alpha, n, rng):
+        x[rows], z[rows], t[rows] = xb, zb, tb
+    return x, z, t
 
 
 def make_replicate(
@@ -328,14 +381,23 @@ def _group_shares(offsets: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     return total / n
 
 
+def _sample_projections(design: _Design, psi: float, n: int, seed) -> np.ndarray:
+    """`design.scaled_loadings(gen_covariates(n, seed), psi)`, (groups - 1,
+    n), written block by block from `_covariate_blocks`, so the (n, 6)
+    covariates are never formed."""
+    scaled = np.empty((len(design.loadings), n))
+    for rows, x in _covariate_blocks(n, np.random.default_rng(seed)):
+        design.scaled_loadings(x, psi, out=scaled[:, rows])
+    return scaled
+
+
 def treatment_prevalences(setting: str, psi: float, alpha, *, n_mc=_CAL_N_MC,
                           seed=_CAL_SEED_INTERCEPTS) -> np.ndarray:
     """Expected group shares E[e_j(X)] under the true assignment model."""
     design = _design(setting)
     _check_psi(psi)
     offsets = design.offsets(alpha)
-    x = gen_covariates(n_mc, np.random.default_rng(seed))
-    return _group_shares(offsets, design.scaled_loadings(x, psi))
+    return _group_shares(offsets, _sample_projections(design, psi, n_mc, seed))
 
 
 def calibrate_intercepts(setting: str, psi: float):
@@ -350,11 +412,10 @@ def calibrate_intercepts(setting: str, psi: float):
     """
     design = _design(setting)
     _check_psi(psi)
-    # only the projections enter the loop, so x is dropped before it; the
-    # peak memory is reached as the projections are formed next to x
-    x = gen_covariates(_CAL_N_MC, np.random.default_rng(_CAL_SEED_INTERCEPTS))
-    scaled = design.scaled_loadings(x, psi)
-    del x
+    # only the projections enter the loop, and they are formed block by
+    # block from the streamed covariates: the peak memory is the
+    # projections next to the sample's Bernoulli draws, 3 bytes per row
+    scaled = _sample_projections(design, psi, _CAL_N_MC, _CAL_SEED_INTERCEPTS)
     owner = np.asarray(design.intercepts)
     sharing = np.bincount(owner)
     target = 1.0 / len(design.labels)
@@ -387,8 +448,12 @@ def calibrate_censoring(setting: str, psi: float, alpha, target: float) -> float
     if target == 0.0:
         return 0.0
     rng = np.random.default_rng(_CAL_SEED_CENSORING)
-    _, _, t_assigned = _draw_assigned(setting, psi, alpha, _CAL_N_MC, rng)
-    ratio = rng.exponential(1.0, _CAL_N_MC) / t_assigned
+    # only the assigned times are kept, not the covariates or assignment
+    t_assigned = np.empty(_CAL_N_MC)
+    for rows, _, _, t in _assigned_blocks(setting, psi, alpha, _CAL_N_MC, rng):
+        t_assigned[rows] = t
+    ratio = rng.exponential(1.0, _CAL_N_MC)
+    ratio /= t_assigned
 
     def frac(lam):
         return float(np.mean(ratio < lam))

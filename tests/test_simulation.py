@@ -31,6 +31,7 @@ from wcox.simulation import (
     B_COEF,
     BETA_OUTCOME,
     C_COEF,
+    _covariate_blocks,
     _draw_assigned,
     _group_shares,
     _limit_blas_threads,
@@ -288,17 +289,42 @@ def test_gen_treatment_reads_any_memory_layout(setting, n, layout):
         np.testing.assert_array_equal(rng_other.random(4), rng_c.random(4))
 
 
+# the covariate draw copies and replays the caller's generator, so it is
+# checked under each of numpy's bit generators
+_BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_gen_covariates_is_the_stacked_draw(n):
-    rng_new = np.random.default_rng(n)
-    x = gen_covariates(n, rng_new)
-    rng = np.random.default_rng(n)
     chol = np.linalg.cholesky(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
-    x_norm = rng.standard_normal((n, 3)) @ chol.T
-    x_bin = rng.integers(0, 2, size=(n, 3)).astype(np.float64) - 0.5
-    assert x.flags.c_contiguous
-    np.testing.assert_array_equal(x, np.hstack([x_norm, x_bin]))
-    np.testing.assert_array_equal(rng_new.random(8), rng.random(8))
+    for bit_generator in _BIT_GENERATORS:
+        rng_new = np.random.Generator(bit_generator(n))
+        x = gen_covariates(n, rng_new)
+        rng = np.random.Generator(bit_generator(n))
+        x_norm = rng.standard_normal((n, 3)) @ chol.T
+        x_bin = rng.integers(0, 2, size=(n, 3)).astype(np.float64) - 0.5
+        assert x.flags.c_contiguous
+        name = bit_generator.__name__
+        np.testing.assert_array_equal(x, np.hstack([x_norm, x_bin]), err_msg=name)
+        np.testing.assert_array_equal(rng_new.random(8), rng.random(8), err_msg=name)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_covariate_blocks_move_the_generator_before_any_block_is_read(n):
+    for bit_generator in _BIT_GENERATORS:
+        rng_new = np.random.Generator(bit_generator(n))
+        blocks = _covariate_blocks(n, rng_new)
+        rng = np.random.Generator(bit_generator(n))
+        x = gen_covariates(n, rng)
+        # the caller's generator is past the covariates before a block is
+        # read (the replicate draws its assignment uniforms there), and its
+        # next draws leave the blocks as they are
+        name = bit_generator.__name__
+        np.testing.assert_array_equal(rng_new.random(8), rng.random(8), err_msg=name)
+        got = list(blocks)
+        assert [rows for rows, _ in got] == list(_row_blocks(n))
+        for rows, block in got:
+            np.testing.assert_array_equal(block, x[rows], err_msg=name)
 
 
 @pytest.mark.parametrize("setting, alpha", [("multi3", -0.24), ("factorial", (-0.6, -0.8, -0.4))])
@@ -327,21 +353,37 @@ def _peak_per_row(call):
     return result, peak / wcox.simulation._CAL_N_MC
 
 
+_FACTORIAL_ALPHA_2 = [float.fromhex(h) for h in
+                      ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")]
+
+
 def test_censoring_calibration_peak_memory_per_row():
-    # the calibration sample sets the peak memory of a study process: x, the
-    # assignment, the assigned times and their rates, 72.8 bytes per row
-    alpha = [float.fromhex(h) for h in
-             ("-0x1.2fcaed2677ef8p-1", "-0x1.a0d59c9f99ed4p-1", "-0x1.8827de648df36p-2")]
-    lam, peak = _peak_per_row(lambda: calibrate_censoring("factorial", 2.0, alpha, 0.25))
+    # the calibration sample sets the peak memory of a study process; x is
+    # streamed, so the sample's Bernoulli bits (3 bytes), the assignment
+    # uniforms and the assigned times set it, 22.1 bytes per row
+    lam, peak = _peak_per_row(
+        lambda: calibrate_censoring("factorial", 2.0, _FACTORIAL_ALPHA_2, 0.25)
+    )
     assert lam == 0.25
-    assert peak <= 76, peak
+    assert peak <= 23, peak
 
 
 def test_intercept_calibration_peak_memory_per_row():
-    # x and its signed projections set this peak, 72.7 bytes per row
+    # x is streamed: the signed projections (24 bytes) next to the sample's
+    # Bernoulli bits set this peak, 29.0 bytes per row
     alpha, peak = _peak_per_row(lambda: calibrate_intercepts("factorial", 2.0))
     assert alpha.shape == (3,)
-    assert peak <= 76, peak
+    assert peak <= 30, peak
+
+
+def test_treatment_prevalences_peak_memory_per_row():
+    # the default sample is the intercept calibration's, streamed the same
+    # way: 29.0 bytes per row
+    prev, peak = _peak_per_row(
+        lambda: treatment_prevalences("factorial", 2.0, _FACTORIAL_ALPHA_2)
+    )
+    assert prev.shape == (4,)
+    assert peak <= 30, peak
 
 
 class TestCalibration:
